@@ -119,9 +119,11 @@ smoke:
 # fvbench sweep must (1) write a schema-valid artifact whose
 # tail_attribution block is present (fvbench re-reads and validates the
 # JSON, which checks every tail sample's layer sums against its RTT),
-# (2) produce flight-recorder post-mortem dumps under -flightdir, and
+# (2) produce flight-recorder post-mortem dumps under -flightdir,
 # (3) keep the steady-state allocation budgets at exactly zero with the
-# always-on recorder installed.
+# always-on recorder and the online tail collector installed, and
+# (4) attribute tails in the measurement pass exactly as the replay
+# oracle (CaptureCriticalPaths) does.
 tailcheck:
 	@dir=$${TMPDIR:-/tmp}/fvbench-tailcheck; rm -rf $$dir; mkdir -p $$dir; \
 	$(GO) run ./cmd/fvbench -n 1500 -payloads 64 \
@@ -131,7 +133,7 @@ tailcheck:
 	n=$$(ls $$dir/flights/flight_*.json 2>/dev/null | wc -l); \
 	[ "$$n" -ge 2 ] || { echo "tailcheck: expected flight dumps in $$dir/flights, found $$n"; exit 1; }; \
 	echo "tailcheck: tail_attribution present, $$n flight dumps"
-	$(GO) test -run 'SteadyStateZeroAlloc' -v .
+	$(GO) test -run 'SteadyStateZeroAlloc|TestOnlineTailsMatchReplay' -v . ./internal/experiments
 
 # cover is the per-package coverage gate: the full test suite runs with
 # statement coverage, fvcover rolls the merged profile up per package,

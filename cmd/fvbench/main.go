@@ -250,8 +250,8 @@ func runLatency(p experiments.Params, parallel int, hist bool, jsonPath, csvPath
 			fail(err)
 		}
 		// Attribute tail samples before the export, so the JSON artifact
-		// carries the tail_attribution block. The replay runs outside
-		// every timed section and cannot perturb the measurements above.
+		// carries the tail_attribution block. It analyses the windows
+		// the sweep kept while measuring; nothing is re-run.
 		if err := experiments.AttributeTails(sw); err != nil {
 			fail(err)
 		}

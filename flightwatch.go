@@ -25,6 +25,8 @@ type flightWatch struct {
 	classSeen []int64
 	lastTotal int64
 	worst     sim.Duration
+	// mark is the ring position at the start of the latest round trip.
+	mark telemetry.FlightMark
 
 	rttTotal *telemetry.HDRHistogram
 	rttSW    *telemetry.HDRHistogram
@@ -73,6 +75,15 @@ func (fw *flightWatch) note(s RTTSample) {
 		fw.worst = d
 		fw.fr.Snapshot(reasonWorstRTT, fw.s.Now())
 	}
+}
+
+// begin marks the start of a round trip in the ring.
+func (fw *flightWatch) begin() { fw.mark = fw.fr.Mark() }
+
+// appendLast appends the spans of the round trip begun at the latest
+// mark that have closed by now. Allocation-free given capacity in dst.
+func (fw *flightWatch) appendLast(dst []telemetry.FlightSpan) ([]telemetry.FlightSpan, error) {
+	return fw.fr.AppendWindow(dst, fw.mark, fw.s.Now())
 }
 
 // noteFaults snapshots the ring for every fault class that fired since

@@ -57,8 +57,8 @@ func BuildArtifact(experiment string, sw *Sweep) *telemetry.BenchArtifact {
 			a.Points = append(a.Points, BuildPoint(sw.XDMA[i]))
 		}
 	}
-	// Tail attribution mirrors the point interleaving; points the
-	// replay pass never visited (or that had no clean samples)
+	// Tail attribution mirrors the point interleaving; points
+	// AttributeTails never visited (or that had no clean samples)
 	// contribute nothing, keeping attribution-free artifacts
 	// byte-identical to earlier builds.
 	for i := range sw.VirtIO {

@@ -95,14 +95,9 @@ type PointResult struct {
 	// fault class that fired, plus the worst-RTT trigger.
 	FlightDumps []telemetry.FlightDump
 
-	// cleanLoops/cleanNs record, per clean (fault-excluded) sample in
-	// completion order, the raw series loop index and the measured RTT
-	// in nanoseconds. perf.Series sorts its samples in place the first
-	// time a percentile is read, so this pair — not the series — is the
-	// map from a tail rank back to the loop index AttributeTails must
-	// replay.
-	cleanLoops []int
-	cleanNs    []int64
+	// tails keeps the slowest clean samples with their span windows,
+	// captured during the measurement for AttributeTails.
+	tails *tailCollector
 }
 
 func toSim(d time.Duration) sim.Duration { return sim.Duration(d.Nanoseconds()) * sim.Nanosecond }
@@ -136,6 +131,7 @@ func MeasureVirtIO(p Params, payload int, mutate func(*fpgavirtio.NetConfig)) (*
 		SW:       perf.NewSeriesCap("sw", p.Packets),
 		HW:       perf.NewSeriesCap("hw", p.Packets),
 		RG:       perf.NewSeriesCap("rg", p.Packets),
+		tails:    newTailCollector(p.Packets),
 	}
 	buf := make([]byte, payload)
 	// A sample that overlapped an injection measured the recovery path,
@@ -153,8 +149,7 @@ func MeasureVirtIO(p Params, payload int, mutate func(*fpgavirtio.NetConfig)) (*
 		res.SW.Add(toSim(s.Software))
 		res.HW.Add(toSim(s.Hardware))
 		res.RG.Add(toSim(s.RespGen))
-		res.cleanLoops = append(res.cleanLoops, i)
-		res.cleanNs = append(res.cleanNs, s.Total.Nanoseconds())
+		res.tails.offer(ns, i, s.Total.Nanoseconds())
 	})
 	if err != nil {
 		return nil, fmt.Errorf("virtio: %w", err)
@@ -186,6 +181,7 @@ func MeasureXDMA(p Params, payload int, mutate func(*fpgavirtio.XDMAConfig)) (*P
 		SW:       perf.NewSeriesCap("sw", p.Packets),
 		HW:       perf.NewSeriesCap("hw", p.Packets),
 		RG:       perf.NewSeriesCap("rg", p.Packets),
+		tails:    newTailCollector(p.Packets),
 	}
 	buf := make([]byte, payload+HeaderOverhead)
 	faultMark := xs.FaultEvents()
@@ -199,8 +195,7 @@ func MeasureXDMA(p Params, payload int, mutate func(*fpgavirtio.XDMAConfig)) (*P
 		res.SW.Add(toSim(s.Software))
 		res.HW.Add(toSim(s.Hardware))
 		res.RG.Add(0)
-		res.cleanLoops = append(res.cleanLoops, i)
-		res.cleanNs = append(res.cleanNs, s.Total.Nanoseconds())
+		res.tails.offer(xs, i, s.Total.Nanoseconds())
 	})
 	if err != nil {
 		return nil, fmt.Errorf("xdma: %w", err)

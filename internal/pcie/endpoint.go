@@ -374,5 +374,12 @@ func (ep *Endpoint) raiseMSIX(v int) {
 		//fvlint:ignore metricname span ends in the APIC-dispatch callback above
 		return
 	}
+	// The flight ring gets the same msix interval as a closed span,
+	// logged before the message TLP so the begin order matches the
+	// tracing path above.
+	if ep.sim.FlightRecording() {
+		_, arrive := ep.link.timing(&ep.link.up, 4)
+		ep.sim.FlightClosed(telemetry.LayerPCIe, "", "msix", ep.sim.Now(), arrive.Add(ep.rc.costs.APICDelay))
+	}
 	ep.link.Up(4, op.name, op.afterLink)
 }

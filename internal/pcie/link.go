@@ -118,22 +118,12 @@ func (l *Link) serTime(payload int) sim.Duration {
 // so a TLP costs zero heap allocations on the steady-state path.
 func (l *Link) transmit(dir *direction, payload int, what string, deliver func()) sim.Time {
 	now := l.sim.Now()
-	start := now
-	if dir.busyUntil > start {
-		start = dir.busyUntil
-	}
-	serEnd := start.Add(l.serTime(payload))
+	serEnd, arrive := l.timing(dir, payload)
 	dir.busyUntil = serEnd
-	arrive := serEnd.Add(l.cfg.Prop)
-	// Flight recorder: the endpoints are already known here, so the
-	// TLP is logged as a closed interval without touching the span
-	// machinery (and without composing a name — dir and kind travel as
-	// separate static strings). Stays on with zero allocations.
-	if l.sim.FlightRecording() {
-		l.sim.FlightClosed(telemetry.LayerWire, dir.name, what, now, arrive)
-	}
 	if l.sim.TracingSpans() || l.sim.Traced() {
 		// Wire-layer span: queue + serialization + flight of this TLP.
+		// BeginSpan feeds the flight sink too, so the TLP is recorded
+		// there once, under the composed name.
 		sp := l.sim.BeginSpan(telemetry.LayerWire, dir.name+":"+what)
 		l.sim.At(arrive, "pcie:"+dir.name+":"+what, func() {
 			sp.End()
@@ -142,8 +132,24 @@ func (l *Link) transmit(dir *direction, payload int, what string, deliver func()
 		//fvlint:ignore metricname span deliberately ends inside the scheduled arrival callback above
 		return serEnd
 	}
+	// Flight recorder: the endpoints are already known here, so the
+	// TLP is logged as a closed interval without touching the span
+	// machinery (and without composing a name — dir and kind travel as
+	// separate static strings). Stays on with zero allocations.
+	l.sim.FlightClosed(telemetry.LayerWire, dir.name, what, now, arrive)
 	l.sim.At(arrive, "pcie:tlp", deliver)
 	return serEnd
+}
+
+// timing reports when a TLP of the given payload queued on dir now
+// would finish serializing and when it would arrive.
+func (l *Link) timing(dir *direction, payload int) (serEnd, arrive sim.Time) {
+	start := l.sim.Now()
+	if dir.busyUntil > start {
+		start = dir.busyUntil
+	}
+	serEnd = start.Add(l.serTime(payload))
+	return serEnd, serEnd.Add(l.cfg.Prop)
 }
 
 // Down sends a TLP from root complex to endpoint.

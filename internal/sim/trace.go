@@ -73,8 +73,9 @@ func (s *Sim) TracingSpans() bool { return s.spans != nil }
 // hot paths take allocating verbose branches — a FlightSink stays
 // installed for a session's whole life, so every method MUST be
 // allocation-free in steady state. BeginSpan/End feed both sinks;
-// FlightClosed additionally receives the closed wire-layer spans the
-// fast TLP path composes without strings.
+// FlightClosed additionally receives the closed spans (wire TLPs,
+// MSI-X messages) the fast paths log without composing strings — in
+// place of, never in addition to, their verbose spans.
 type FlightSink interface {
 	FlightBegin(at Time, layer, name string) uint64
 	FlightEnd(at Time, id uint64)

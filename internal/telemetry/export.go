@@ -146,7 +146,7 @@ type TailLayer struct {
 type TailSample struct {
 	// Rank names the tail position: "p99", "p99.9", or "max".
 	Rank string `json:"rank"`
-	// Index is the 0-based series loop index of the replayed round
+	// Index is the 0-based series loop index of the attributed round
 	// trip — the same index a deterministic re-run reproduces it at.
 	Index int `json:"index"`
 	// RTTNs is the round trip's measured latency from the percentile
@@ -168,7 +168,7 @@ type TailPoint struct {
 
 // tailQuantumNs is the tolerance (in ns) allowed between a tail
 // sample's measured RTT and its critical-path sum: the sessions
-// quantize clock reads to sim.Nanosecond, so replayed span windows can
+// quantize clock reads to sim.Nanosecond, so span windows can
 // differ from counter deltas by at most a few quanta of rounding.
 const tailQuantumNs = 8
 
@@ -190,8 +190,8 @@ type BenchArtifact struct {
 	// run was armed with a plan; nil (and absent from JSON) otherwise.
 	Faults *FaultSummary `json:"faults,omitempty"`
 	// TailAttribution carries the per-point critical-path decomposition
-	// of the tail samples (p99, p99.9, max) when the run performed the
-	// tail-replay pass; empty otherwise.
+	// of the tail samples (p99, p99.9, max) when the run attributed
+	// its tails; empty otherwise.
 	TailAttribution []TailPoint      `json:"tail_attribution,omitempty"`
 	Metrics         []MetricSnapshot `json:"metrics,omitempty"`
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"sort"
 
 	"fpgavirtio/internal/sim"
@@ -15,11 +16,15 @@ import (
 // noteworthy happens — a fault-recovery fires, a new worst-case RTT
 // lands — Snapshot freezes the ring into a preallocated dump slot,
 // giving a post-mortem trace of the packets leading up to the event
-// without anyone having asked for tracing in advance.
+// without anyone having asked for tracing in advance. Mark and
+// AppendWindow read one round trip's spans back out of the ring while
+// they are still resident, which is how sweeps attribute their tail
+// samples without a second pass.
 
-// Default sizing: the ring holds the last few round trips' worth of
-// spans (a virtio ping closes ~15 spans; XDMA fewer), and a handful
-// of dump slots covers the distinct trigger reasons in one run.
+// Default sizing: the ring holds the last dozen or so round trips'
+// spans (a virtio ping closes about 90–140 spans, wire TLPs included;
+// XDMA fewer), and a handful of dump slots covers the distinct trigger
+// reasons in one run.
 const (
 	DefaultFlightSpans = 2048
 	DefaultFlightDumps = 8
@@ -33,7 +38,9 @@ const (
 // FlightSpan is one interval captured by the flight recorder. Dir is
 // set for wire-level records (TLP direction) and empty elsewhere.
 // Open marks spans still in progress when a dump was taken; their End
-// is the dump instant.
+// is the dump instant. Seq is the span's begin order within the
+// recorder (FlightBegin and FlightClosed draw from one counter), the
+// same order a Recorder installed alongside assigns its span IDs in.
 type FlightSpan struct {
 	Layer string   `json:"layer"`
 	Dir   string   `json:"dir,omitempty"`
@@ -41,6 +48,7 @@ type FlightSpan struct {
 	Start sim.Time `json:"start_ps"`
 	End   sim.Time `json:"end_ps"`
 	Open  bool     `json:"open,omitempty"`
+	Seq   uint64   `json:"-"`
 }
 
 // Duration is the span's extent.
@@ -84,12 +92,16 @@ type flightSlot struct {
 // that trigger), and snapshots beyond the slot count are counted as
 // dropped rather than evicting a different reason.
 type FlightRecorder struct {
-	ring []FlightSpan
-	head int // next write position
-	n    int // filled entries, <= len(ring)
+	ring   []FlightSpan
+	head   int    // next write position
+	n      int    // filled entries, <= len(ring)
+	pushed uint64 // spans pushed over the recorder's lifetime
 
 	open   [flightOpenSlots]flightOpen
 	nextID uint64
+	// droppedSeq is the begin order of the latest span the open table
+	// had no room for (0 = none yet).
+	droppedSeq uint64
 
 	slots   []flightSlot
 	dumpSeq int64
@@ -136,6 +148,7 @@ func (fr *FlightRecorder) FlightBegin(at sim.Time, layer, name string) uint64 {
 			return id
 		}
 	}
+	fr.droppedSeq = id
 	fr.dropped.Inc()
 	return id
 }
@@ -150,7 +163,7 @@ func (fr *FlightRecorder) FlightEnd(at sim.Time, id uint64) {
 	for i := range fr.open {
 		if fr.open[i].id == id {
 			o := &fr.open[i]
-			fr.push(FlightSpan{Layer: o.layer, Name: o.name, Start: o.start, End: at})
+			fr.push(FlightSpan{Layer: o.layer, Name: o.name, Start: o.start, End: at, Seq: id})
 			o.id = 0
 			return
 		}
@@ -159,9 +172,11 @@ func (fr *FlightRecorder) FlightEnd(at sim.Time, id uint64) {
 
 // FlightClosed implements sim.FlightSink: it records an interval whose
 // endpoints are already known — the wire layer uses it to log each TLP
-// without paying the open-table round trip.
+// without paying the open-table round trip. The span takes its begin
+// order now, so end may lie in the future.
 func (fr *FlightRecorder) FlightClosed(at sim.Time, layer, dir, name string, start, end sim.Time) {
-	fr.push(FlightSpan{Layer: layer, Dir: dir, Name: name, Start: start, End: end})
+	fr.nextID++
+	fr.push(FlightSpan{Layer: layer, Dir: dir, Name: name, Start: start, End: end, Seq: fr.nextID})
 }
 
 func (fr *FlightRecorder) push(sp FlightSpan) {
@@ -173,7 +188,56 @@ func (fr *FlightRecorder) push(sp FlightSpan) {
 	if fr.n < len(fr.ring) {
 		fr.n++
 	}
+	fr.pushed++
 	fr.captured.Inc()
+}
+
+// FlightMark is a position in the recorder's span stream, taken by
+// Mark and read back by AppendWindow.
+type FlightMark struct {
+	seq    uint64 // begin order of the first span begun after the mark
+	pushed uint64 // ring pushes before the mark
+}
+
+// Window errors: AppendWindow never returns a partial window.
+var (
+	ErrFlightOverrun = errors.New("telemetry: flight ring overran the window")
+	ErrFlightDropped = errors.New("telemetry: flight open table dropped a span in the window")
+)
+
+// Mark records the current position in the span stream.
+func (fr *FlightRecorder) Mark() FlightMark {
+	return FlightMark{seq: fr.nextID + 1, pushed: fr.pushed}
+}
+
+// AppendWindow appends to dst, in ring order, every span that began
+// since mark and had ended by now — exactly the closed spans a
+// Recorder installed at the mark and removed at now would hold. Wire
+// and MSI-X spans enter the ring when queued, with an End that may
+// still lie ahead; those are left out. It fails rather than return a
+// window the ring or the open table could not hold whole.
+// Allocation-free once dst has the capacity.
+func (fr *FlightRecorder) AppendWindow(dst []FlightSpan, mark FlightMark, now sim.Time) ([]FlightSpan, error) {
+	if fr.droppedSeq >= mark.seq {
+		return dst, ErrFlightDropped
+	}
+	since := fr.pushed - mark.pushed
+	if since > uint64(len(fr.ring)) {
+		return dst, ErrFlightOverrun
+	}
+	i := fr.head - int(since)
+	if i < 0 {
+		i += len(fr.ring)
+	}
+	for ; since > 0; since-- {
+		if sp := &fr.ring[i]; sp.Seq >= mark.seq && sp.End <= now {
+			dst = append(dst, *sp)
+		}
+		if i++; i == len(fr.ring) {
+			i = 0
+		}
+	}
+	return dst, nil
 }
 
 // Snapshot freezes the current ring (plus still-open spans, marked
@@ -254,27 +318,44 @@ func (fr *FlightRecorder) Captured() int64 { return fr.captured.Value() }
 // Len reports the spans currently resident in the ring.
 func (fr *FlightRecorder) Len() int { return fr.n }
 
+// span converts fs to a telemetry Span with the given id, composing a
+// wire span's name as "dir:name" like the verbose span path does.
+func (fs FlightSpan) span(id uint64) Span {
+	name := fs.Name
+	if fs.Dir != "" {
+		name = fs.Dir + ":" + fs.Name
+	}
+	return Span{ID: id, Layer: fs.Layer, Name: name, Start: fs.Start, End: fs.End}
+}
+
 // DumpSpans converts a dump's flight spans to telemetry Spans so the
 // Chrome exporter can render them (IDs are synthesized 1..n in
 // chronological order; open spans get an "open=true" attr).
 func DumpSpans(d FlightDump) []Span {
 	out := make([]Span, 0, len(d.Spans))
 	for i, fs := range d.Spans {
-		name := fs.Name
-		if fs.Dir != "" {
-			name = fs.Dir + ":" + fs.Name
-		}
-		sp := Span{
-			ID:    uint64(i + 1),
-			Layer: fs.Layer,
-			Name:  name,
-			Start: fs.Start,
-			End:   fs.End,
-		}
+		sp := fs.span(uint64(i + 1))
 		if fs.Open {
 			sp.Attrs = []string{"open", "true"}
 		}
 		out = append(out, sp)
 	}
+	return out
+}
+
+// WindowSpans converts an AppendWindow result into the spans a
+// Recorder.Spans call over the same window returns: IDs in begin
+// order, sorted by (Start, ID).
+func WindowSpans(w []FlightSpan) []Span {
+	out := make([]Span, len(w))
+	for i, fs := range w {
+		out[i] = fs.span(fs.Seq)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].ID < out[j].ID
+	})
 	return out
 }

@@ -266,6 +266,7 @@ func (ns *NetSession) PingSeries(payload []byte, n int, sample func(i int, s RTT
 // Both the latency mode and the window=1 streaming mode execute exactly
 // this sequence, which is what makes their per-packet results agree.
 func (ns *NetSession) pingOnce(p *sim.Proc, payload []byte) ([]byte, RTTSample, error) {
+	ns.flight.begin()
 	t0 := ns.host.ClockGettime(p)
 	// The app span brackets the same instants as the RTT timer, so
 	// span-derived totals agree with RTTSample.Total.
@@ -419,6 +420,16 @@ func (ns *NetSession) FaultSummary() map[string]int64 { return ns.faults.Summary
 // trips), oldest trigger first.
 func (ns *NetSession) FlightDumps() []telemetry.FlightDump { return ns.flight.dumps() }
 
+// AppendLastSpans appends to dst the flight-ring spans of the latest
+// ping: those begun since it started and closed by now — what a span
+// Recorder installed around that one ping would hold. Inside a
+// PingSeries callback that is the round trip just reported.
+// Allocation-free once dst has grown; it errors instead of returning a
+// partial window when the ring could not hold the whole round trip.
+func (ns *NetSession) AppendLastSpans(dst []telemetry.FlightSpan) ([]telemetry.FlightSpan, error) {
+	return ns.flight.appendLast(dst)
+}
+
 // CaptureCriticalPaths replays the deterministic ping series up to the
 // largest target index and returns the critical-path analysis of each
 // targeted round trip. It must be called on a freshly opened session
@@ -427,6 +438,10 @@ func (ns *NetSession) FlightDumps() []telemetry.FlightDump { return ns.flight.du
 // trip i the measurement saw. The span recorder is installed only
 // around targeted indices — span emission is a pure recording hook,
 // so the replayed timing is identical either way.
+//
+// The sweep's tail attribution no longer replays: it reads each
+// round trip's window with AppendLastSpans during the measurement.
+// This replay is the oracle that single pass is tested against.
 func (ns *NetSession) CaptureCriticalPaths(payload []byte, targets []int) ([]CapturedPath, error) {
 	if len(targets) == 0 {
 		return nil, nil

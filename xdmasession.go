@@ -190,6 +190,8 @@ func (xs *XDMASession) roundTripOnce(p *sim.Proc, data []byte) (RTTSample, error
 // the application-level recovery the character-device interface forces,
 // since the driver has no integrity information of its own.
 func (xs *XDMASession) roundTripInto(p *sim.Proc, data, back []byte) (RTTSample, error) {
+	// One mark covers the retries: a round trip's window spans them all.
+	xs.flight.begin()
 	sample, err := xs.roundTripAttempt(p, data, back)
 	if xs.faults == nil || err == nil || err != errDataMismatch {
 		if err == nil {
@@ -286,12 +288,25 @@ func (xs *XDMASession) FaultSummary() map[string]int64 { return xs.faults.Summar
 // trips), oldest trigger first.
 func (xs *XDMASession) FlightDumps() []telemetry.FlightDump { return xs.flight.dumps() }
 
+// AppendLastSpans appends to dst the flight-ring spans of the latest
+// round trip, retries included: those begun since it started and
+// closed by now. Inside a RoundTripSeries callback that is the round
+// trip just reported. Allocation-free once dst has grown; it errors
+// instead of returning a partial window.
+func (xs *XDMASession) AppendLastSpans(dst []telemetry.FlightSpan) ([]telemetry.FlightSpan, error) {
+	return xs.flight.appendLast(dst)
+}
+
 // CaptureCriticalPaths replays the deterministic round-trip series up
 // to the largest target index and returns the critical-path analysis
 // of each targeted exchange. It must be called on a freshly opened
 // session with the same config as the measured run: sessions are pure
 // functions of their seed, so round trip i here is the same round
 // trip i the measurement saw.
+//
+// The sweep's tail attribution no longer replays: it reads each
+// round trip's window with AppendLastSpans during the measurement.
+// This replay is the oracle that single pass is tested against.
 func (xs *XDMASession) CaptureCriticalPaths(data []byte, targets []int) ([]CapturedPath, error) {
 	if len(targets) == 0 {
 		return nil, nil
