@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint vuln fuzzseed flake chaos ci smoke bench benchbase benchcmp benchsmoke simref tailcheck cover coverbase clean
+.PHONY: all build test race vet fmt lint vuln fuzzseed flake chaos ci smoke bench benchbase benchcmp benchsmoke benchmod simref tailcheck cover coverbase clean
 
 all: build
 
@@ -99,6 +99,12 @@ benchsmoke:
 		-json $${TMPDIR:-/tmp}/fvsweepbench-smoke.json \
 		-check BENCH_sweep.json -tolerance 2 -minspeedup 0
 
+# benchmod vets and tests the repository benchmark (fvperf/), a nested
+# module that root `go test ./...` skips: a break in the root API it
+# uses shows up here rather than first when the benchmark runs.
+benchmod:
+	cd fvperf && $(GO) vet ./... && $(GO) test ./...
+
 # simref re-runs the determinism-sensitive suites with the event queue
 # swapped for the container/heap reference shim (-tags simrefqueue).
 # The root-package replay fingerprint golden must match under both
@@ -165,7 +171,7 @@ coverbase:
 chaos:
 	$(GO) test -race -tags fvinvariants -run '^TestChaos' -v ./internal/experiments
 
-ci: build fmt vet lint vuln fuzzseed flake chaos cover smoke benchsmoke simref tailcheck
+ci: build fmt vet lint vuln fuzzseed flake chaos cover smoke benchsmoke benchmod simref tailcheck
 	@echo "ci: all checks passed"
 
 clean:

@@ -1,7 +1,6 @@
 package fpgavirtio
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -60,23 +59,10 @@ type BreakdownReport struct {
 // with span recording enabled and returns the span-derived attribution
 // alongside the per-round counter-based samples.
 func (ns *NetSession) Breakdown(rounds, payloadBytes int) (BreakdownReport, error) {
-	if rounds <= 0 {
-		return BreakdownReport{}, fmt.Errorf("fpgavirtio: breakdown needs rounds > 0, got %d", rounds)
-	}
-	rec := telemetry.NewRecorder(0)
-	ns.s.SetSpanSink(rec)
-	defer ns.s.SetSpanSink(nil)
-
 	payload := make([]byte, payloadBytes)
-	samples := make([]RTTSample, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		sample, err := ns.PingDetailed(payload)
-		if err != nil {
-			return BreakdownReport{}, err
-		}
-		samples = append(samples, sample)
-	}
-	return foldBreakdown("virtio-net", rounds, payloadBytes, rec, samples), nil
+	return ns.breakdown("virtio-net", rounds, payloadBytes, func() (RTTSample, error) {
+		return ns.PingDetailed(payload)
+	})
 }
 
 // Breakdown measures rounds write()+read() round trips of the given
@@ -84,24 +70,11 @@ func (ns *NetSession) Breakdown(rounds, payloadBytes int) (BreakdownReport, erro
 // span-derived attribution alongside the per-round counter-based
 // samples.
 func (xs *XDMASession) Breakdown(rounds, nbytes int) (BreakdownReport, error) {
-	if rounds <= 0 {
-		return BreakdownReport{}, fmt.Errorf("fpgavirtio: breakdown needs rounds > 0, got %d", rounds)
-	}
-	rec := telemetry.NewRecorder(0)
-	xs.s.SetSpanSink(rec)
-	defer xs.s.SetSpanSink(nil)
-
 	data := make([]byte, nbytes)
 	xs.host.RNG().Bytes(data)
-	samples := make([]RTTSample, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		sample, err := xs.RoundTripDetailed(data)
-		if err != nil {
-			return BreakdownReport{}, err
-		}
-		samples = append(samples, sample)
-	}
-	return foldBreakdown("xdma", rounds, nbytes, rec, samples), nil
+	return xs.breakdown("xdma", rounds, nbytes, func() (RTTSample, error) {
+		return xs.RoundTripDetailed(data)
+	})
 }
 
 // foldBreakdown computes the attribution from recorded spans. The

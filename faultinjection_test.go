@@ -97,20 +97,43 @@ func TestReplayXDMAFaulted(t *testing.T) {
 // recovery instruments: the zero-fault path is byte-identical to a
 // build without the faults package.
 func TestZeroFaultPathRegistersNothing(t *testing.T) {
-	ns, err := OpenNet(NetConfig{Config: Config{Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		open func(t *testing.T) *session
+	}{
+		{"virtio", func(t *testing.T) *session {
+			ns, err := OpenNet(NetConfig{Config: Config{Seed: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ns.Ping(make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+			return &ns.session
+		}},
+		{"xdma", func(t *testing.T) *session {
+			xs, err := OpenXDMA(XDMAConfig{Config: Config{Seed: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := xs.RoundTrip(make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+			return &xs.session
+		}},
 	}
-	if _, _, err := ns.Ping(make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if ns.FaultPlan() != "" || ns.FaultEvents() != 0 || ns.FaultSummary() != nil {
-		t.Error("zero-fault session reports fault state")
-	}
-	for _, s := range ns.Registry().Snapshot() {
-		if strings.HasPrefix(s.Name, "fault.") || strings.HasPrefix(s.Name, "recovery.") {
-			t.Errorf("zero-fault session registered %q", s.Name)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.open(t)
+			if c.FaultPlan() != "" || c.FaultEvents() != 0 || c.FaultSummary() != nil {
+				t.Error("zero-fault session reports fault state")
+			}
+			for _, s := range c.Registry().Snapshot() {
+				if strings.HasPrefix(s.Name, "fault.") || strings.HasPrefix(s.Name, "recovery.") {
+					t.Errorf("zero-fault session registered %q", s.Name)
+				}
+			}
+		})
 	}
 }
 

@@ -105,12 +105,7 @@ func (fw *flightWatch) noteFaults() {
 }
 
 // dumps returns the snapshots taken so far, oldest trigger first.
-func (fw *flightWatch) dumps() []telemetry.FlightDump {
-	if fw == nil {
-		return nil
-	}
-	return fw.fr.Dumps()
-}
+func (fw *flightWatch) dumps() []telemetry.FlightDump { return fw.fr.Dumps() }
 
 // CapturedPath is one replayed round trip's critical-path analysis:
 // the series index it occupied, the RTT the replay measured, and the

@@ -123,41 +123,7 @@ func MeasureVirtIO(p Params, payload int, mutate func(*fpgavirtio.NetConfig)) (*
 	if err != nil {
 		return nil, err
 	}
-	res := &PointResult{
-		Driver:   "virtio",
-		Payload:  payload,
-		Datapath: datapathName(cfg.PollMode),
-		Total:    perf.NewSeriesCap(fmt.Sprintf("virtio/%d/total", payload), p.Packets),
-		SW:       perf.NewSeriesCap("sw", p.Packets),
-		HW:       perf.NewSeriesCap("hw", p.Packets),
-		RG:       perf.NewSeriesCap("rg", p.Packets),
-		tails:    newTailCollector(p.Packets),
-	}
-	buf := make([]byte, payload)
-	// A sample that overlapped an injection measured the recovery path,
-	// not the steady state — flag it and keep it out of the percentile
-	// series. Faults injected between round trips advance the count too;
-	// charging them to the next sample errs on the side of exclusion.
-	faultMark := ns.FaultEvents()
-	err = ns.PingSeries(buf, p.Packets, func(i int, s fpgavirtio.RTTSample) {
-		if now := ns.FaultEvents(); now != faultMark {
-			faultMark = now
-			res.Faulted++
-			return
-		}
-		res.Total.Add(toSim(s.Total))
-		res.SW.Add(toSim(s.Software))
-		res.HW.Add(toSim(s.Hardware))
-		res.RG.Add(toSim(s.RespGen))
-		res.tails.offer(ns, i, s.Total.Nanoseconds())
-	})
-	if err != nil {
-		return nil, fmt.Errorf("virtio: %w", err)
-	}
-	res.Interrupts = ns.BusStats().Interrupts
-	res.Metrics = ns.Registry().Snapshot()
-	res.FlightDumps = ns.FlightDumps()
-	return res, nil
+	return measure(p, "virtio", payload, cfg.PollMode, ns, ns.PingSeries, make([]byte, payload))
 }
 
 // MeasureXDMA runs the paper's vendor test for one (VirtIO-equivalent)
@@ -173,20 +139,42 @@ func MeasureXDMA(p Params, payload int, mutate func(*fpgavirtio.XDMAConfig)) (*P
 	if err != nil {
 		return nil, err
 	}
+	return measure(p, "xdma", payload, cfg.PollMode, xs, xs.RoundTripSeries, make([]byte, payload+HeaderOverhead))
+}
+
+// measuredSession is what measure reads from a booted session of
+// either stack.
+type measuredSession interface {
+	spanWindow
+	FaultEvents() int64
+	BusStats() fpgavirtio.BusStats
+	Registry() *telemetry.Registry
+	FlightDumps() []telemetry.FlightDump
+}
+
+// measure runs p.Packets round trips of buf through the session's
+// series loop and collects the point. The XDMA path has no user logic,
+// so its RespGen is always 0 and one callback serves both stacks.
+func measure(p Params, driver string, payload int, poll bool, sess measuredSession,
+	series func(buf []byte, n int, sample func(i int, s fpgavirtio.RTTSample)) error, buf []byte) (*PointResult, error) {
 	res := &PointResult{
-		Driver:   "xdma",
+		Driver:   driver,
 		Payload:  payload,
-		Datapath: datapathName(cfg.PollMode),
-		Total:    perf.NewSeriesCap(fmt.Sprintf("xdma/%d/total", payload), p.Packets),
+		Datapath: datapathName(poll),
+		Total:    perf.NewSeriesCap(fmt.Sprintf("%s/%d/total", driver, payload), p.Packets),
 		SW:       perf.NewSeriesCap("sw", p.Packets),
 		HW:       perf.NewSeriesCap("hw", p.Packets),
 		RG:       perf.NewSeriesCap("rg", p.Packets),
 		tails:    newTailCollector(p.Packets),
 	}
-	buf := make([]byte, payload+HeaderOverhead)
-	faultMark := xs.FaultEvents()
-	err = xs.RoundTripSeries(buf, p.Packets, func(i int, s fpgavirtio.RTTSample) {
-		if now := xs.FaultEvents(); now != faultMark {
+	// A sample that overlapped an injection measured the recovery path,
+	// not the steady state — flag it and keep it out of the percentile
+	// series. Faults injected between round trips advance the count too;
+	// charging them to the next sample errs on the side of exclusion.
+	faultMark := sess.FaultEvents()
+	win := spanWindow(sess)
+	err := series(buf, p.Packets, func(i int, s fpgavirtio.RTTSample) {
+		if now := sess.FaultEvents(); now != faultMark {
 			faultMark = now
 			res.Faulted++
 			return
@@ -194,15 +182,15 @@ func MeasureXDMA(p Params, payload int, mutate func(*fpgavirtio.XDMAConfig)) (*P
 		res.Total.Add(toSim(s.Total))
 		res.SW.Add(toSim(s.Software))
 		res.HW.Add(toSim(s.Hardware))
-		res.RG.Add(0)
-		res.tails.offer(xs, i, s.Total.Nanoseconds())
+		res.RG.Add(toSim(s.RespGen))
+		res.tails.offer(win, i, s.Total.Nanoseconds())
 	})
 	if err != nil {
-		return nil, fmt.Errorf("xdma: %w", err)
+		return nil, fmt.Errorf("%s: %w", driver, err)
 	}
-	res.Interrupts = xs.BusStats().Interrupts
-	res.Metrics = xs.Registry().Snapshot()
-	res.FlightDumps = xs.FlightDumps()
+	res.Interrupts = sess.BusStats().Interrupts
+	res.Metrics = sess.Registry().Snapshot()
+	res.FlightDumps = sess.FlightDumps()
 	return res, nil
 }
 

@@ -5,10 +5,9 @@ import (
 	"time"
 
 	"fpgavirtio/internal/drivers/virtionet"
-	"fpgavirtio/internal/faults"
 	"fpgavirtio/internal/fvassert"
-	"fpgavirtio/internal/hostos"
 	"fpgavirtio/internal/netstack"
+	"fpgavirtio/internal/pcie"
 	"fpgavirtio/internal/sim"
 	"fpgavirtio/internal/telemetry"
 	"fpgavirtio/internal/vdev"
@@ -79,14 +78,11 @@ const (
 // with echo user logic, bound driver, configured routes/ARP, and an
 // open UDP socket.
 type NetSession struct {
-	s      *sim.Sim
-	host   *hostos.Host
-	stack  *netstack.Stack
-	dev    *vdev.NetDevice
-	drv    *virtionet.Device
-	sock   *netstack.UDPSocket
-	faults *faults.Injector
-	flight *flightWatch
+	session
+	stack *netstack.Stack
+	dev   *vdev.NetDevice
+	drv   *virtionet.Device
+	sock  *netstack.UDPSocket
 	// pollFn is the busy-poll hook bound once at boot in poll mode
 	// (nil otherwise): it spins the driver's RX path under the poll
 	// policy until the socket has a deliverable datagram. Binding at
@@ -98,45 +94,27 @@ type NetSession struct {
 // probe the virtio-net driver, add the route and ARP entries the paper
 // describes, and bind the test socket.
 func OpenNet(cfg NetConfig) (*NetSession, error) {
-	plan, err := faults.Parse(cfg.Faults)
-	if err != nil {
-		return nil, err
+	ns := &NetSession{}
+	// The netstack is built with the device, before the flight watch:
+	// metric registration order, and with it the replay fingerprint,
+	// follows construction order.
+	attach := func() *pcie.Endpoint {
+		ns.dev = vdev.NewNet(ns.s, ns.host.RC, "fpga-vnet", vdev.NetOptions{
+			Link:             cfg.Link.config(),
+			MAC:              fpgaMAC,
+			OfferCsum:        !cfg.DisableCsumOffload,
+			OfferCtrlVQ:      !cfg.DisableCtrlVQ,
+			OfferEventIdx:    cfg.UseEventIdx,
+			OfferPacked:      cfg.UsePackedRing,
+			QueuePairs:       cfg.QueuePairs,
+			IRQCoalescePkts:  cfg.IRQCoalescePkts,
+			IRQCoalesceTimer: sim.Ns(cfg.IRQCoalesceTimer.Nanoseconds()),
+		})
+		ns.stack = netstack.New(ns.host, netstack.DefaultCosts())
+		ns.watchFlight()
+		return ns.dev.Controller().EP()
 	}
-	s := sim.New()
-	h := hostos.New(s, hostMemBytes, cfg.hostConfig(), cfg.Seed)
-	// Arm fault injection before the device attaches so the endpoint
-	// sees the injector from its first TLP. The injector draws from its
-	// own fork of the seed, leaving the host-noise stream untouched.
-	inj := faults.NewInjector(plan, sim.NewRNG(cfg.Seed).Fork("faults"), h.Metrics())
-	h.RC.SetFaults(inj)
-	dev := vdev.NewNet(s, h.RC, "fpga-vnet", vdev.NetOptions{
-		Link:             cfg.Link.config(),
-		MAC:              fpgaMAC,
-		OfferCsum:        !cfg.DisableCsumOffload,
-		OfferCtrlVQ:      !cfg.DisableCtrlVQ,
-		OfferEventIdx:    cfg.UseEventIdx,
-		OfferPacked:      cfg.UsePackedRing,
-		QueuePairs:       cfg.QueuePairs,
-		IRQCoalescePkts:  cfg.IRQCoalescePkts,
-		IRQCoalesceTimer: sim.Ns(cfg.IRQCoalesceTimer.Nanoseconds()),
-	})
-	st := netstack.New(h, netstack.DefaultCosts())
-	ns := &NetSession{s: s, host: h, stack: st, dev: dev, faults: inj}
-	// Always-on flight recorder: installed before boot so the ring
-	// already holds context when the first trigger fires. Rides the
-	// FlightSink channel, so TracingSpans() stays false and the
-	// 0-alloc hot path is unaffected.
-	ns.flight = newFlightWatch(s, inj, h.Metrics())
-
-	var bootErr error
-	booted := false
-	s.Go("boot", func(p *sim.Proc) {
-		defer s.Stop()
-		infos := h.RC.Enumerate(p)
-		if len(infos) != 1 {
-			bootErr = fmt.Errorf("fpgavirtio: enumerated %d devices, want 1", len(infos))
-			return
-		}
+	probe := func(p *sim.Proc, info *pcie.DeviceInfo) error {
 		opt := virtionet.DefaultOptions("eth-fpga")
 		opt.WantCsum = !cfg.DisableCsumOffload
 		opt.WantCtrlVQ = !cfg.DisableCtrlVQ
@@ -149,10 +127,10 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 		opt.TxKickBatch = cfg.TxKickBatch
 		opt.ForceKicks = cfg.ForceKicks
 		opt.PollMode = cfg.PollMode
-		drv, err := virtionet.Probe(p, h, st, infos[0], opt)
+		st := ns.stack
+		drv, err := virtionet.Probe(p, ns.host, st, info, opt)
 		if err != nil {
-			bootErr = err
-			return
+			return err
 		}
 		ns.drv = drv
 		st.AddInterface(drv, hostIP)
@@ -160,8 +138,7 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 		st.AddARP(fpgaIP, fpgaMAC)
 		sock, err := st.Bind(appPort)
 		if err != nil {
-			bootErr = err
-			return
+			return err
 		}
 		ns.sock = sock
 		if cfg.PollMode {
@@ -178,39 +155,12 @@ func OpenNet(cfg NetConfig) (*NetSession, error) {
 			yield := drv.PollYield
 			ns.pollFn = func(p *sim.Proc) { spinner.Spin(p, ready, yield) }
 		}
-		booted = true
-	})
-	if err := s.Run(); err != nil {
+		return nil
+	}
+	if err := ns.boot(cfg.Config, attach, probe); err != nil {
 		return nil, err
 	}
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	if !booted {
-		return nil, fmt.Errorf("fpgavirtio: net session did not boot")
-	}
 	return ns, nil
-}
-
-// run executes fn as an application process and drives the simulation
-// until it finishes.
-func (ns *NetSession) run(fn func(p *sim.Proc) error) error {
-	var opErr error
-	done := false
-	ns.s.Go("app", func(p *sim.Proc) {
-		defer ns.s.Stop()
-		opErr = fn(p)
-		done = true
-	})
-	err := ns.s.Run()
-	publishSimStats(ns.s, ns.host.Metrics())
-	if err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("fpgavirtio: operation did not complete")
-	}
-	return opErr
 }
 
 // Ping sends one UDP packet with the given payload to the FPGA's echo
@@ -395,41 +345,6 @@ func (ns *NetSession) ChecksumOffloaded() bool {
 // negotiated and activated.
 func (ns *NetSession) QueuePairs() int { return ns.drv.QueuePairs() }
 
-// Registry returns the session's telemetry metrics registry, holding
-// the per-layer instruments every subsystem registered at boot.
-func (ns *NetSession) Registry() *telemetry.Registry { return ns.host.Metrics() }
-
-// FaultPlan reports the armed fault plan's canonical string (empty when
-// no injection is armed).
-func (ns *NetSession) FaultPlan() string {
-	if ns.faults == nil {
-		return ""
-	}
-	return ns.faults.Plan().String()
-}
-
-// FaultEvents reports the total number of faults injected so far.
-func (ns *NetSession) FaultEvents() int64 { return ns.faults.Total() }
-
-// FaultSummary reports per-class injected-fault counts (nil when no
-// injection is armed).
-func (ns *NetSession) FaultSummary() map[string]int64 { return ns.faults.Summary() }
-
-// FlightDumps returns the post-mortem snapshots the always-on flight
-// recorder has taken so far (fault recoveries, new worst-case round
-// trips), oldest trigger first.
-func (ns *NetSession) FlightDumps() []telemetry.FlightDump { return ns.flight.dumps() }
-
-// AppendLastSpans appends to dst the flight-ring spans of the latest
-// ping: those begun since it started and closed by now — what a span
-// Recorder installed around that one ping would hold. Inside a
-// PingSeries callback that is the round trip just reported.
-// Allocation-free once dst has grown; it errors instead of returning a
-// partial window when the ring could not hold the whole round trip.
-func (ns *NetSession) AppendLastSpans(dst []telemetry.FlightSpan) ([]telemetry.FlightSpan, error) {
-	return ns.flight.appendLast(dst)
-}
-
 // CaptureCriticalPaths replays the deterministic ping series up to the
 // largest target index and returns the critical-path analysis of each
 // targeted round trip. It must be called on a freshly opened session
@@ -443,64 +358,13 @@ func (ns *NetSession) AppendLastSpans(dst []telemetry.FlightSpan) ([]telemetry.F
 // round trip's window with AppendLastSpans during the measurement.
 // This replay is the oracle that single pass is tested against.
 func (ns *NetSession) CaptureCriticalPaths(payload []byte, targets []int) ([]CapturedPath, error) {
-	if len(targets) == 0 {
-		return nil, nil
-	}
-	want := make(map[int]bool, len(targets))
-	maxT := 0
-	for _, t := range targets {
-		if t < 0 {
-			return nil, fmt.Errorf("fpgavirtio: negative capture target %d", t)
-		}
-		want[t] = true
-		if t > maxT {
-			maxT = t
-		}
-	}
-	rec := telemetry.NewRecorder(0)
-	out := make([]CapturedPath, 0, len(targets))
-	err := ns.run(func(p *sim.Proc) error {
-		for i := 0; i <= maxT; i++ {
-			capture := want[i]
-			if capture {
-				rec.Reset()
-				ns.s.SetSpanSink(rec)
-			}
-			echo, s, err := ns.pingOnce(p, payload)
-			if capture {
-				ns.s.SetSpanSink(nil)
-			}
-			if err != nil {
-				return fmt.Errorf("fpgavirtio: replay ping %d: %w", i, err)
-			}
+	return ns.captureCriticalPaths(targets, func(p *sim.Proc) (RTTSample, error) {
+		echo, s, err := ns.pingOnce(p, payload)
+		if err == nil {
 			ns.sock.Recycle(echo)
-			if capture {
-				cp, err := telemetry.AnalyzeCriticalPath(rec.Spans())
-				if err != nil {
-					return fmt.Errorf("fpgavirtio: replay ping %d: %w", i, err)
-				}
-				out = append(out, CapturedPath{Index: i, RTT: sim.Ns(s.Total.Nanoseconds()), Path: cp})
-			}
 		}
-		return nil
+		return s, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BusStats returns the FPGA endpoint's accumulated bus counters.
-func (ns *NetSession) BusStats() BusStats {
-	st := ns.dev.Controller().EP().Stats()
-	out := BusStats{DownBytes: st.DownBytes, UpBytes: st.UpBytes, Interrupts: st.Interrupts}
-	for _, n := range st.DownTLPs {
-		out.DownTLPs += n
-	}
-	for _, n := range st.UpTLPs {
-		out.UpTLPs += n
-	}
-	return out
 }
 
 // BypassCopy exercises the controller's host-bypass interface: user

@@ -6,7 +6,6 @@ import (
 
 	"fpgavirtio/internal/drivers/virtioblk"
 	"fpgavirtio/internal/drivers/virtioconsole"
-	"fpgavirtio/internal/hostos"
 	"fpgavirtio/internal/pcie"
 	"fpgavirtio/internal/sim"
 	"fpgavirtio/internal/vdev"
@@ -15,8 +14,7 @@ import (
 // ConsoleSession is a booted VirtIO console testbed (the device type of
 // the prior work the paper extends).
 type ConsoleSession struct {
-	s    *sim.Sim
-	host *hostos.Host
+	core session
 	drv  *virtioconsole.Device
 }
 
@@ -25,18 +23,17 @@ func OpenConsole(cfg Config) (*ConsoleSession, error) {
 	if cfg.Faults != "" {
 		return nil, fmt.Errorf("fpgavirtio: fault injection is not supported by console sessions")
 	}
-	s := sim.New()
-	h := hostos.New(s, hostMemBytes, cfg.hostConfig(), cfg.Seed)
-	vdev.NewConsole(s, h.RC, "fpga-vcon", vdev.ConsoleOptions{Link: cfg.Link.config()})
-	cs := &ConsoleSession{s: s, host: h}
-	if err := bootSession(s, h, func(p *sim.Proc, infos []*pcie.DeviceInfo) error {
-		drv, err := virtioconsole.Probe(p, h, infos[0])
-		if err != nil {
-			return err
-		}
+	cs := &ConsoleSession{}
+	attach := func() *pcie.Endpoint {
+		dev := vdev.NewConsole(cs.core.s, cs.core.host.RC, "fpga-vcon", vdev.ConsoleOptions{Link: cfg.Link.config()})
+		return dev.Controller().EP()
+	}
+	probe := func(p *sim.Proc, info *pcie.DeviceInfo) error {
+		drv, err := virtioconsole.Probe(p, cs.core.host, info)
 		cs.drv = drv
-		return nil
-	}); err != nil {
+		return err
+	}
+	if err := cs.core.boot(cfg, attach, probe); err != nil {
 		return nil, err
 	}
 	return cs, nil
@@ -47,8 +44,8 @@ func OpenConsole(cfg Config) (*ConsoleSession, error) {
 func (cs *ConsoleSession) WriteRead(data []byte) ([]byte, time.Duration, error) {
 	var out []byte
 	var rtt sim.Duration
-	err := runApp(cs.s, cs.host, func(p *sim.Proc) error {
-		t0 := cs.host.ClockGettime(p)
+	err := cs.core.run(func(p *sim.Proc) error {
+		t0 := cs.core.host.ClockGettime(p)
 		if err := cs.drv.Write(p, data); err != nil {
 			return err
 		}
@@ -56,7 +53,7 @@ func (cs *ConsoleSession) WriteRead(data []byte) ([]byte, time.Duration, error) 
 		if err != nil {
 			return err
 		}
-		t1 := cs.host.ClockGettime(p)
+		t1 := cs.core.host.ClockGettime(p)
 		out = got
 		rtt = t1.Sub(t0)
 		return nil
@@ -67,9 +64,7 @@ func (cs *ConsoleSession) WriteRead(data []byte) ([]byte, time.Duration, error) 
 // BlkSession is a booted VirtIO block-device testbed (the storage-
 // accelerator use case).
 type BlkSession struct {
-	s    *sim.Sim
-	host *hostos.Host
-	dev  *vdev.BlkDevice
+	core session
 	drv  *virtioblk.Device
 }
 
@@ -85,21 +80,20 @@ func OpenBlk(cfg BlkConfig) (*BlkSession, error) {
 	if cfg.Faults != "" {
 		return nil, fmt.Errorf("fpgavirtio: fault injection is not supported by block sessions")
 	}
-	s := sim.New()
-	h := hostos.New(s, hostMemBytes, cfg.hostConfig(), cfg.Seed)
-	dev := vdev.NewBlk(s, h.RC, "fpga-vblk", vdev.BlkOptions{
-		Link:            cfg.Link.config(),
-		CapacitySectors: cfg.CapacitySectors,
-	})
-	bs := &BlkSession{s: s, host: h, dev: dev}
-	if err := bootSession(s, h, func(p *sim.Proc, infos []*pcie.DeviceInfo) error {
-		drv, err := virtioblk.Probe(p, h, infos[0])
-		if err != nil {
-			return err
-		}
+	bs := &BlkSession{}
+	attach := func() *pcie.Endpoint {
+		dev := vdev.NewBlk(bs.core.s, bs.core.host.RC, "fpga-vblk", vdev.BlkOptions{
+			Link:            cfg.Link.config(),
+			CapacitySectors: cfg.CapacitySectors,
+		})
+		return dev.Controller().EP()
+	}
+	probe := func(p *sim.Proc, info *pcie.DeviceInfo) error {
+		drv, err := virtioblk.Probe(p, bs.core.host, info)
 		bs.drv = drv
-		return nil
-	}); err != nil {
+		return err
+	}
+	if err := bs.core.boot(cfg.Config, attach, probe); err != nil {
 		return nil, err
 	}
 	return bs, nil
@@ -111,12 +105,12 @@ func (bs *BlkSession) CapacitySectors() uint64 { return bs.drv.CapacitySectors()
 // WriteSector writes one 512-byte sector and returns the operation time.
 func (bs *BlkSession) WriteSector(sector uint64, data []byte) (time.Duration, error) {
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
-		t0 := bs.host.ClockGettime(p)
+	err := bs.core.run(func(p *sim.Proc) error {
+		t0 := bs.core.host.ClockGettime(p)
 		if err := bs.drv.WriteSector(p, sector, data); err != nil {
 			return err
 		}
-		rtt = bs.host.ClockGettime(p).Sub(t0)
+		rtt = bs.core.host.ClockGettime(p).Sub(t0)
 		return nil
 	})
 	return toStd(rtt), err
@@ -127,14 +121,14 @@ func (bs *BlkSession) WriteSector(sector uint64, data []byte) (time.Duration, er
 func (bs *BlkSession) ReadSector(sector uint64) ([]byte, time.Duration, error) {
 	var out []byte
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
-		t0 := bs.host.ClockGettime(p)
+	err := bs.core.run(func(p *sim.Proc) error {
+		t0 := bs.core.host.ClockGettime(p)
 		data, err := bs.drv.ReadSector(p, sector)
 		if err != nil {
 			return err
 		}
 		out = data
-		rtt = bs.host.ClockGettime(p).Sub(t0)
+		rtt = bs.core.host.ClockGettime(p).Sub(t0)
 		return nil
 	})
 	return out, toStd(rtt), err
@@ -143,12 +137,12 @@ func (bs *BlkSession) ReadSector(sector uint64) ([]byte, time.Duration, error) {
 // WriteSectors writes len(data)/512 consecutive sectors in one request.
 func (bs *BlkSession) WriteSectors(sector uint64, data []byte) (time.Duration, error) {
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
-		t0 := bs.host.ClockGettime(p)
+	err := bs.core.run(func(p *sim.Proc) error {
+		t0 := bs.core.host.ClockGettime(p)
 		if err := bs.drv.WriteSectors(p, sector, data); err != nil {
 			return err
 		}
-		rtt = bs.host.ClockGettime(p).Sub(t0)
+		rtt = bs.core.host.ClockGettime(p).Sub(t0)
 		return nil
 	})
 	return toStd(rtt), err
@@ -158,14 +152,14 @@ func (bs *BlkSession) WriteSectors(sector uint64, data []byte) (time.Duration, e
 func (bs *BlkSession) ReadSectors(sector uint64, count int) ([]byte, time.Duration, error) {
 	var out []byte
 	var rtt sim.Duration
-	err := runApp(bs.s, bs.host, func(p *sim.Proc) error {
-		t0 := bs.host.ClockGettime(p)
+	err := bs.core.run(func(p *sim.Proc) error {
+		t0 := bs.core.host.ClockGettime(p)
 		data, err := bs.drv.ReadSectors(p, sector, count)
 		if err != nil {
 			return err
 		}
 		out = data
-		rtt = bs.host.ClockGettime(p).Sub(t0)
+		rtt = bs.core.host.ClockGettime(p).Sub(t0)
 		return nil
 	})
 	return out, toStd(rtt), err
@@ -173,51 +167,5 @@ func (bs *BlkSession) ReadSectors(sector uint64, count int) ([]byte, time.Durati
 
 // Flush issues a flush barrier.
 func (bs *BlkSession) Flush() error {
-	return runApp(bs.s, bs.host, func(p *sim.Proc) error { return bs.drv.Flush(p) })
-}
-
-// ---- shared session plumbing -------------------------------------------
-
-func bootSession(s *sim.Sim, h *hostos.Host, bind func(p *sim.Proc, infos []*pcie.DeviceInfo) error) error {
-	var bootErr error
-	booted := false
-	s.Go("boot", func(p *sim.Proc) {
-		defer s.Stop()
-		infos := h.RC.Enumerate(p)
-		if len(infos) == 0 {
-			bootErr = fmt.Errorf("fpgavirtio: no devices enumerated")
-			return
-		}
-		bootErr = bind(p, infos)
-		booted = bootErr == nil
-	})
-	if err := s.Run(); err != nil {
-		return err
-	}
-	if bootErr != nil {
-		return bootErr
-	}
-	if !booted {
-		return fmt.Errorf("fpgavirtio: session did not boot")
-	}
-	return nil
-}
-
-func runApp(s *sim.Sim, h *hostos.Host, fn func(p *sim.Proc) error) error {
-	var opErr error
-	done := false
-	s.Go("app", func(p *sim.Proc) {
-		defer s.Stop()
-		opErr = fn(p)
-		done = true
-	})
-	err := s.Run()
-	publishSimStats(s, h.Metrics())
-	if err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("fpgavirtio: operation did not complete")
-	}
-	return opErr
+	return bs.core.run(func(p *sim.Proc) error { return bs.drv.Flush(p) })
 }

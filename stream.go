@@ -168,14 +168,14 @@ func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
 
 	dropsBefore := ns.Registry().Counter(telemetry.MetricNetstackRxDropped).Value()
 	notifyBefore := ns.dev.Controller().NotifyCount()
-	busBefore := ns.BusStats()
+	irqsBefore := ns.BusStats().Interrupts
 
 	var elapsed sim.Duration
 	var occ occTracker
-	var missed int
+	var pc *pacer
 	err := ns.run(func(p *sim.Proc) error {
 		payload := make([]byte, cfg.PayloadSize)
-		pc := newPacer(p.Now(), cfg.RatePPS)
+		pc = newPacer(p.Now(), cfg.RatePPS)
 		if cfg.Window == 1 {
 			res.RTT = make([]RTTSample, 0, cfg.Packets)
 			t0 := ns.host.ClockGettime(p)
@@ -188,7 +188,6 @@ func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
 				res.RTT = append(res.RTT, s)
 			}
 			elapsed = ns.host.ClockGettime(p).Sub(t0)
-			missed = pc.missed
 			return nil
 		}
 
@@ -242,7 +241,6 @@ func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
 		}
 		elapsed = ns.host.ClockGettime(p).Sub(t0)
 		occ.update(p.Now(), 0)
-		missed = pc.missed
 
 		// Drain the per-queue hardware counters so later detailed pings
 		// pair samples correctly (windowed runs leave many behind).
@@ -257,29 +255,9 @@ func (ns *NetSession) Stream(cfg StreamConfig) (StreamResult, error) {
 		return StreamResult{}, err
 	}
 
-	res.Elapsed = toStd(elapsed)
-	secs := res.Elapsed.Seconds()
-	if secs > 0 {
-		res.PPS = float64(cfg.Packets) / secs
-		res.GoodputBps = float64(cfg.Packets) * float64(cfg.PayloadSize) * 8 / secs
-	}
 	res.Drops = int(ns.Registry().Counter(telemetry.MetricNetstackRxDropped).Value() - dropsBefore)
-	res.Backpressure = missed
-	res.OccupancyMax = occ.max
-	res.OccupancyMean = occ.mean(elapsed)
-	if cfg.Window == 1 {
-		res.OccupancyMax = 1
-		res.OccupancyMean = 1
-	}
 	res.Doorbells = ns.dev.Controller().NotifyCount() - notifyBefore
-	res.Interrupts = ns.BusStats().Interrupts - busBefore.Interrupts
-	ns.publishStream(res)
-	return res, nil
-}
-
-// publishStream mirrors a stream result into the telemetry registry.
-func (ns *NetSession) publishStream(res StreamResult) {
-	publishStreamMetrics(ns.Registry(), res)
+	return ns.finishStream(res, elapsed, pc, &occ, irqsBefore), nil
 }
 
 // Stream drives cfg.Packets write/read exchanges through the XDMA path
@@ -309,27 +287,27 @@ func (xs *XDMASession) Stream(cfg StreamConfig) (StreamResult, error) {
 
 	h2cBefore := xs.drv.H2CStats()
 	c2hBefore := xs.drv.C2HStats()
-	busBefore := xs.BusStats()
+	irqsBefore := xs.BusStats().Interrupts
 
 	var elapsed sim.Duration
 	var occ occTracker
-	var missed int
+	var pc *pacer
 	err := xs.run(func(p *sim.Proc) error {
-		pc := newPacer(p.Now(), cfg.RatePPS)
+		pc = newPacer(p.Now(), cfg.RatePPS)
 		if cfg.Window == 1 {
 			res.RTT = make([]RTTSample, 0, cfg.Packets)
 			data := make([]byte, cfg.PayloadSize)
+			back := make([]byte, cfg.PayloadSize)
 			t0 := xs.host.ClockGettime(p)
 			for i := 0; i < cfg.Packets; i++ {
 				pc.wait(xs.host, p, i)
-				s, err := xs.roundTripOnce(p, data)
+				s, err := xs.roundTripInto(p, data, back)
 				if err != nil {
 					return err
 				}
 				res.RTT = append(res.RTT, s)
 			}
 			elapsed = xs.host.ClockGettime(p).Sub(t0)
-			missed = pc.missed
 			return nil
 		}
 
@@ -412,7 +390,6 @@ func (xs *XDMASession) Stream(cfg StreamConfig) (StreamResult, error) {
 		}
 		elapsed = xs.host.ClockGettime(p).Sub(t0)
 		occ.update(p.Now(), 0)
-		missed = pc.missed
 
 		// Drain the engine counters so later detailed round trips pair
 		// samples correctly.
@@ -424,22 +401,7 @@ func (xs *XDMASession) Stream(cfg StreamConfig) (StreamResult, error) {
 		return StreamResult{}, err
 	}
 
-	res.Elapsed = toStd(elapsed)
-	secs := res.Elapsed.Seconds()
-	if secs > 0 {
-		res.PPS = float64(cfg.Packets) / secs
-		res.GoodputBps = float64(cfg.Packets) * float64(cfg.PayloadSize) * 8 / secs
-	}
-	res.Backpressure = missed
-	res.OccupancyMax = occ.max
-	res.OccupancyMean = occ.mean(elapsed)
-	if cfg.Window == 1 {
-		res.OccupancyMax = 1
-		res.OccupancyMean = 1
-	}
 	// Engine starts are the XDMA path's doorbell analogue.
 	res.Doorbells = (xs.drv.H2CStats() - h2cBefore) + (xs.drv.C2HStats() - c2hBefore)
-	res.Interrupts = xs.BusStats().Interrupts - busBefore.Interrupts
-	publishStreamMetrics(xs.Registry(), res)
-	return res, nil
+	return xs.finishStream(res, elapsed, pc, &occ, irqsBefore), nil
 }

@@ -144,17 +144,10 @@ func TraceNet(cfg NetConfig, payload int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &sim.RecordingTracer{Max: maxTraceEvents}
-	rec := telemetry.NewRecorder(0)
-	ns.s.SetTracer(tr)
-	ns.s.SetSpanSink(rec)
-	_, _, err = ns.Ping(make([]byte, payload))
-	ns.s.SetTracer(nil)
-	ns.s.SetSpanSink(nil)
-	if err != nil {
-		return nil, err
-	}
-	return buildTrace(tr, rec), nil
+	return ns.trace(func() error {
+		_, _, err := ns.Ping(make([]byte, payload))
+		return err
+	})
 }
 
 // TraceXDMA boots a vendor-path session and captures every simulation
@@ -164,17 +157,10 @@ func TraceXDMA(cfg XDMAConfig, nbytes int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := &sim.RecordingTracer{Max: maxTraceEvents}
-	rec := telemetry.NewRecorder(0)
-	xs.s.SetTracer(tr)
-	xs.s.SetSpanSink(rec)
-	_, err = xs.RoundTrip(make([]byte, nbytes))
-	xs.s.SetTracer(nil)
-	xs.s.SetSpanSink(nil)
-	if err != nil {
-		return nil, err
-	}
-	return buildTrace(tr, rec), nil
+	return xs.trace(func() error {
+		_, err := xs.RoundTrip(make([]byte, nbytes))
+		return err
+	})
 }
 
 // TraceNetPing boots a VirtIO-net session and records every simulation

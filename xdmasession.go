@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"fpgavirtio/internal/drivers/xdmadrv"
-	"fpgavirtio/internal/faults"
 	"fpgavirtio/internal/hostos"
+	"fpgavirtio/internal/pcie"
 	"fpgavirtio/internal/sim"
 	"fpgavirtio/internal/telemetry"
 	"fpgavirtio/internal/xdmaip"
@@ -28,110 +28,61 @@ type XDMAConfig struct {
 
 // XDMASession is a booted vendor-path testbed.
 type XDMASession struct {
-	s    *sim.Sim
-	host *hostos.Host
-	dev  *xdmaip.VendorDevice
-	drv  *xdmadrv.Driver
-	h2c  *hostos.File
-	c2h  *hostos.File
+	session
+	dev *xdmaip.VendorDevice
+	drv *xdmadrv.Driver
+	h2c *hostos.File
+	c2h *hostos.File
 
 	waitReady bool
 	readyWQ   *hostos.WaitQueue
 	dataReady bool
 	bramBytes int
-	faults    *faults.Injector
-	flight    *flightWatch
 }
 
 // OpenXDMA boots the vendor baseline: attach the XDMA example design,
 // enumerate, probe the reference driver, open both device nodes.
 func OpenXDMA(cfg XDMAConfig) (*XDMASession, error) {
-	plan, err := faults.Parse(cfg.Faults)
-	if err != nil {
-		return nil, err
-	}
-	s := sim.New()
-	h := hostos.New(s, hostMemBytes, cfg.hostConfig(), cfg.Seed)
-	// Arm fault injection before the device attaches so the endpoint
-	// sees the injector from its first TLP. The injector draws from its
-	// own fork of the seed, leaving the host-noise stream untouched.
-	inj := faults.NewInjector(plan, sim.NewRNG(cfg.Seed).Fork("faults"), h.Metrics())
-	h.RC.SetFaults(inj)
 	devCfg := xdmaip.DefaultConfig()
 	devCfg.Link = cfg.Link.config()
 	devCfg.NotifyOnH2CComplete = cfg.WaitC2HReady
-	dev := xdmaip.NewVendor(s, h.RC, "xdma0", devCfg)
-	xs := &XDMASession{s: s, host: h, dev: dev, waitReady: cfg.WaitC2HReady, bramBytes: devCfg.BRAMBytes, faults: inj}
-	// Always-on flight recorder: installed before boot so the ring
-	// already holds context when the first trigger fires.
-	xs.flight = newFlightWatch(s, inj, h.Metrics())
-
-	var bootErr error
-	booted := false
-	s.Go("boot", func(p *sim.Proc) {
-		defer s.Stop()
-		infos := h.RC.Enumerate(p)
-		if len(infos) != 1 {
-			bootErr = fmt.Errorf("fpgavirtio: enumerated %d devices, want 1", len(infos))
-			return
-		}
-		drv, err := xdmadrv.ProbeWithOptions(p, h, infos[0], "xdma0",
+	xs := &XDMASession{waitReady: cfg.WaitC2HReady, bramBytes: devCfg.BRAMBytes}
+	attach := func() *pcie.Endpoint {
+		xs.dev = xdmaip.NewVendor(xs.s, xs.host.RC, "xdma0", devCfg)
+		xs.watchFlight()
+		return xs.dev.EP()
+	}
+	probe := func(p *sim.Proc, info *pcie.DeviceInfo) error {
+		h := xs.host
+		drv, err := xdmadrv.ProbeWithOptions(p, h, info, "xdma0",
 			xdmadrv.Options{PollMode: cfg.PollMode})
 		if err != nil {
-			bootErr = err
-			return
+			return err
 		}
 		xs.drv = drv
 		if xs.h2c, err = h.Open("/dev/xdma0_h2c_0"); err != nil {
-			bootErr = err
-			return
+			return err
 		}
 		if xs.c2h, err = h.Open("/dev/xdma0_c2h_0"); err != nil {
-			bootErr = err
-			return
+			return err
 		}
 		if xs.waitReady {
 			// Realistic mode: enable user interrupt 0 and register the
 			// data-ready handler the stock example design lacks.
 			xs.readyWQ = h.NewWaitQueue("xdma.ready")
-			h.RC.MMIOWrite(p, infos[0].BAR[1]+xdmaip.IRQBlockBase+xdmaip.RegIRQUserEnable, 4, 1)
-			h.RegisterIRQ(infos[0].EP, xdmaip.VecUserBase, func(ip *sim.Proc) {
+			h.RC.MMIOWrite(p, info.BAR[1]+xdmaip.IRQBlockBase+xdmaip.RegIRQUserEnable, 4, 1)
+			h.RegisterIRQ(info.EP, xdmaip.VecUserBase, func(ip *sim.Proc) {
 				h.CPUWork(ip, 300*sim.Nanosecond)
 				xs.dataReady = true
 				xs.readyWQ.Wake()
 			})
 		}
-		booted = true
-	})
-	if err := s.Run(); err != nil {
+		return nil
+	}
+	if err := xs.boot(cfg.Config, attach, probe); err != nil {
 		return nil, err
 	}
-	if bootErr != nil {
-		return nil, bootErr
-	}
-	if !booted {
-		return nil, fmt.Errorf("fpgavirtio: xdma session did not boot")
-	}
 	return xs, nil
-}
-
-func (xs *XDMASession) run(fn func(p *sim.Proc) error) error {
-	var opErr error
-	done := false
-	xs.s.Go("app", func(p *sim.Proc) {
-		defer xs.s.Stop()
-		opErr = fn(p)
-		done = true
-	})
-	err := xs.s.Run()
-	publishSimStats(xs.s, xs.host.Metrics())
-	if err != nil {
-		return err
-	}
-	if !done {
-		return fmt.Errorf("fpgavirtio: operation did not complete")
-	}
-	return opErr
 }
 
 // RoundTrip writes data to the FPGA and reads the same number of bytes
@@ -147,9 +98,10 @@ func (xs *XDMASession) RoundTrip(data []byte) (time.Duration, error) {
 // decomposition (H2C engine time + C2H engine time).
 func (xs *XDMASession) RoundTripDetailed(data []byte) (RTTSample, error) {
 	var sample RTTSample
+	back := make([]byte, len(data))
 	err := xs.run(func(p *sim.Proc) error {
 		var err error
-		sample, err = xs.roundTripOnce(p, data)
+		sample, err = xs.roundTripInto(p, data, back)
 		return err
 	})
 	return sample, err
@@ -175,16 +127,11 @@ func (xs *XDMASession) RoundTripSeries(data []byte, n int, sample func(i int, s 
 	})
 }
 
-// roundTripOnce runs one timed write/read exchange inside an
-// application process. Both the latency mode and the window=1 streaming
-// mode execute exactly this sequence, which is what makes their
-// per-packet results agree.
-func (xs *XDMASession) roundTripOnce(p *sim.Proc, data []byte) (RTTSample, error) {
-	return xs.roundTripInto(p, data, make([]byte, len(data)))
-}
-
-// roundTripInto is roundTripOnce with a caller-supplied read-back
-// buffer (len(back) must equal len(data)). Under fault injection a
+// roundTripInto runs one timed write/read exchange inside an
+// application process, reading back into back (len(back) must equal
+// len(data)). Both the latency mode and the window=1 streaming mode
+// execute exactly this sequence, which is what makes their per-packet
+// results agree. Under fault injection a
 // round trip whose read-back does not match (a corrupted DMA read or a
 // dropped DMA write) is retried end to end a bounded number of times —
 // the application-level recovery the character-device interface forces,
@@ -193,7 +140,9 @@ func (xs *XDMASession) roundTripInto(p *sim.Proc, data, back []byte) (RTTSample,
 	// One mark covers the retries: a round trip's window spans them all.
 	xs.flight.begin()
 	sample, err := xs.roundTripAttempt(p, data, back)
-	if xs.faults == nil || err == nil || err != errDataMismatch {
+	// The injector is nil when no fault plan is armed; a mismatch then
+	// is a model bug, reported rather than retried.
+	if xs.faults == nil || err != errDataMismatch {
 		if err == nil {
 			xs.flight.note(sample)
 		} else {
@@ -263,40 +212,6 @@ func (xs *XDMASession) roundTripAttempt(p *sim.Proc, data, back []byte) (RTTSamp
 	}, nil
 }
 
-// Registry returns the session's telemetry metrics registry, holding
-// the per-layer instruments every subsystem registered at boot.
-func (xs *XDMASession) Registry() *telemetry.Registry { return xs.host.Metrics() }
-
-// FaultPlan reports the armed fault plan's canonical string (empty when
-// no injection is armed).
-func (xs *XDMASession) FaultPlan() string {
-	if xs.faults == nil {
-		return ""
-	}
-	return xs.faults.Plan().String()
-}
-
-// FaultEvents reports the total number of faults injected so far.
-func (xs *XDMASession) FaultEvents() int64 { return xs.faults.Total() }
-
-// FaultSummary reports per-class injected-fault counts (nil when no
-// injection is armed).
-func (xs *XDMASession) FaultSummary() map[string]int64 { return xs.faults.Summary() }
-
-// FlightDumps returns the post-mortem snapshots the always-on flight
-// recorder has taken so far (fault recoveries, new worst-case round
-// trips), oldest trigger first.
-func (xs *XDMASession) FlightDumps() []telemetry.FlightDump { return xs.flight.dumps() }
-
-// AppendLastSpans appends to dst the flight-ring spans of the latest
-// round trip, retries included: those begun since it started and
-// closed by now. Inside a RoundTripSeries callback that is the round
-// trip just reported. Allocation-free once dst has grown; it errors
-// instead of returning a partial window.
-func (xs *XDMASession) AppendLastSpans(dst []telemetry.FlightSpan) ([]telemetry.FlightSpan, error) {
-	return xs.flight.appendLast(dst)
-}
-
 // CaptureCriticalPaths replays the deterministic round-trip series up
 // to the largest target index and returns the critical-path analysis
 // of each targeted exchange. It must be called on a freshly opened
@@ -308,62 +223,8 @@ func (xs *XDMASession) AppendLastSpans(dst []telemetry.FlightSpan) ([]telemetry.
 // round trip's window with AppendLastSpans during the measurement.
 // This replay is the oracle that single pass is tested against.
 func (xs *XDMASession) CaptureCriticalPaths(data []byte, targets []int) ([]CapturedPath, error) {
-	if len(targets) == 0 {
-		return nil, nil
-	}
-	want := make(map[int]bool, len(targets))
-	maxT := 0
-	for _, t := range targets {
-		if t < 0 {
-			return nil, fmt.Errorf("fpgavirtio: negative capture target %d", t)
-		}
-		want[t] = true
-		if t > maxT {
-			maxT = t
-		}
-	}
-	rec := telemetry.NewRecorder(0)
 	back := make([]byte, len(data))
-	out := make([]CapturedPath, 0, len(targets))
-	err := xs.run(func(p *sim.Proc) error {
-		for i := 0; i <= maxT; i++ {
-			capture := want[i]
-			if capture {
-				rec.Reset()
-				xs.s.SetSpanSink(rec)
-			}
-			s, err := xs.roundTripInto(p, data, back)
-			if capture {
-				xs.s.SetSpanSink(nil)
-			}
-			if err != nil {
-				return fmt.Errorf("fpgavirtio: replay round trip %d: %w", i, err)
-			}
-			if capture {
-				cp, err := telemetry.AnalyzeCriticalPath(rec.Spans())
-				if err != nil {
-					return fmt.Errorf("fpgavirtio: replay round trip %d: %w", i, err)
-				}
-				out = append(out, CapturedPath{Index: i, RTT: sim.Ns(s.Total.Nanoseconds()), Path: cp})
-			}
-		}
-		return nil
+	return xs.captureCriticalPaths(targets, func(p *sim.Proc) (RTTSample, error) {
+		return xs.roundTripInto(p, data, back)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BusStats returns the FPGA endpoint's accumulated bus counters.
-func (xs *XDMASession) BusStats() BusStats {
-	st := xs.dev.EP().Stats()
-	out := BusStats{DownBytes: st.DownBytes, UpBytes: st.UpBytes, Interrupts: st.Interrupts}
-	for _, n := range st.DownTLPs {
-		out.DownTLPs += n
-	}
-	for _, n := range st.UpTLPs {
-		out.UpTLPs += n
-	}
-	return out
 }
