@@ -59,14 +59,16 @@ flake:
 	$(GO) test -race -count=2 ./...
 	$(GO) test -race -tags fvinvariants ./...
 
-# bench runs the sweep and series benchmarks with allocation accounting
-# (allocs/op on the steady-state series benchmarks must read 0), then
-# times the paper's full 50k-packet Fig-3 matrix serially and through
-# the parallel engine. The committed baseline is NOT rewritten here —
+# bench runs the sim dispatch micro-benchmarks (self-wake, ping-pong and
+# callback chain: the kernel alone, one event per op) and the sweep and
+# series benchmarks with allocation accounting (allocs/op on the
+# dispatch and steady-state series benchmarks must read 0), then times
+# the paper's full 50k-packet Fig-3 matrix serially and through the
+# parallel engine. The committed baseline is NOT rewritten here —
 # use benchbase for that — so a routine bench run cannot silently move
 # the gate.
 bench:
-	$(GO) test -run '^$$' -bench 'SweepGrid|SeriesSteadyState' -benchmem ./internal/experiments .
+	$(GO) test -run '^$$' -bench 'BenchmarkSim|SweepGrid|SeriesSteadyState' -benchmem ./internal/sim ./internal/experiments .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.
@@ -108,7 +110,7 @@ benchmod:
 # simref re-runs the determinism-sensitive suites with the event queue
 # swapped for the container/heap reference shim (-tags simrefqueue).
 # The root-package replay fingerprint golden must match under both
-# builds, proving the calendar queue changes nothing observable.
+# builds, proving the sorted-slice queue changes nothing observable.
 simref:
 	$(GO) test -tags simrefqueue ./internal/sim .
 

@@ -13,21 +13,21 @@ import (
 	"fpgavirtio/internal/sim"
 )
 
-// The calendar event queue in internal/sim has a container/heap twin
+// The sorted-slice event queue in internal/sim has a container/heap twin
 // behind the `simrefqueue` build tag. Both must produce byte-identical
 // runs: same RTT samples, same metric snapshots, same event traces —
 // the trace is where the (at, seq) tie-break order is directly
 // observable. This test hashes all three into one fingerprint and
 // compares it against the committed golden, so
 //
-//	go test .                  // calendar queue
+//	go test .                    // sorted-slice queue
 //	go test -tags simrefqueue .  // reference heap
 //
 // must both match the same committed hash. Regenerate with
 //
 //	go test -run TestReplayFingerprint -update .
 //
-// (only under the default build — the golden is defined as the calendar
+// (only under the default build — the golden is defined as the sorted-slice
 // queue's output) after any intentional model change.
 var updateFingerprint = flag.Bool("update", false, "rewrite testdata goldens")
 
@@ -117,7 +117,7 @@ func TestReplayFingerprint(t *testing.T) {
 	if got != strings.TrimSpace(string(want)) {
 		t.Fatalf("replay fingerprint diverged from %s:\n got  %s\n want %s\n"+
 			"If a model change is intentional, regenerate with: go test -run TestReplayFingerprint -update .\n"+
-			"If this build used -tags simrefqueue, the calendar queue and the reference heap disagree — a determinism bug.",
+			"If this build used -tags simrefqueue, the sorted-slice queue and the reference heap disagree — a determinism bug.",
 			fingerprintFile, got, strings.TrimSpace(string(want)))
 	}
 }

@@ -3,12 +3,14 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -109,7 +111,8 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 // keepFile applies the loader's minimal build-constraint handling: a
 // file is kept unless a //go:build line references a tag this loader
 // does not satisfy (only single-tag `tag` / `!tag` lines are
-// understood, which covers the fvinvariants toggle).
+// understood, which covers the fvinvariants toggle and Go release
+// gates such as go1.23).
 func (l *Loader) keepFile(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -130,13 +133,10 @@ func (l *Loader) keepFile(f *ast.File) bool {
 	return true
 }
 
+// hasTag reports whether tag is one of the loader's BuildTags or a Go
+// release tag the running toolchain satisfies.
 func (l *Loader) hasTag(tag string) bool {
-	for _, t := range l.BuildTags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(l.BuildTags, tag) || slices.Contains(build.Default.ReleaseTags, tag)
 }
 
 func (l *Loader) load(dir, importPath string) (*Package, error) {

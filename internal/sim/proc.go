@@ -1,36 +1,44 @@
+//go:build go1.23
+
 //fvlint:hotpath
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated sequential process (a software thread, a hardware
-// finite-state machine, ...). A Proc runs on its own goroutine but with
-// strict hand-off: exactly one goroutine — either the scheduler or one
-// process — is ever runnable, so execution is fully deterministic.
+// finite-state machine, ...). Each Proc is a coroutine (iter.Pull): the
+// scheduler resumes it by calling next, and it gives control back by
+// yielding, so exactly one of them — the scheduler or a single process
+// — ever runs and execution is fully deterministic. A process panic
+// surfaces from the next call, on the goroutine that called Run, RunUntil
+// or Step, with its original value.
 //
 // Inside the process function, the Proc methods Sleep, Wait and Park
 // block in *simulated* time by yielding back to the scheduler.
 //
-// Under Run/RunUntil the hand-off is *chained*: a parking or finishing
-// process drains the event queue from its own goroutine (see chainNext)
-// instead of bouncing through the scheduler goroutine. Callback events
-// execute inline, a wake of the same process coalesces into
-// straight-line execution with zero channel operations, and a wake of a
-// different process is one direct channel rendezvous instead of two
-// plus a Go-scheduler round trip. The event execution order is exactly
-// the (at, seq) order either way — only which OS-level goroutine drives
-// the dispatch changes, which no simulated observable depends on.
+// Under Run/RunUntil a parking or finishing process first drains the
+// event queue on its own coroutine (see suspend): callback events execute
+// inline, and a wake of the same process returns straight back to it
+// with no switch at all. Only a wake of a different process costs a
+// switch: the process stores it in Sim.handoff and yields, and the
+// scheduler loop resumes it. The event execution order is exactly the
+// (at, seq) order either way; which coroutine drives the dispatch is
+// not a simulated observable.
 //
-// Finished processes are pooled: the goroutine and its hand-off channel
-// are reused by the next Go/GoAfter, so per-operation process spawns
-// (one per ping, one per interrupt) do not allocate in steady state.
-// The spawn generation counter catches the one hazard pooling
-// introduces — a stale wake event resuming a recycled process — by
-// panicking instead of silently corrupting the schedule.
+// Finished processes are pooled: the coroutine is reused by the next
+// Go/GoAfter, so per-operation process spawns (one per ping, one per
+// interrupt) do not allocate in steady state. The spawn generation
+// counter catches the one hazard pooling introduces — a stale wake
+// event resuming a recycled process — by panicking instead of silently
+// corrupting the schedule.
 type Proc struct {
 	sim     *Sim
 	name    string
-	resume  chan struct{}
+	next    func() (struct{}, bool) // switch to the process
+	yield   func(struct{}) bool     // switch back to the scheduler
 	fn      func(p *Proc)
 	gen     uint32 // spawn generation; bumped when returned to the pool
 	why     string // park reason, read by deadlock detection
@@ -52,12 +60,8 @@ func (s *Sim) GoAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 		s.procPool = s.procPool[:n-1]
 		p.name = name
 	} else {
-		p = &Proc{
-			sim:    s,
-			name:   name,
-			resume: make(chan struct{}),
-		}
-		go p.loop()
+		p = &Proc{sim: s, name: name}
+		p.next, _ = iter.Pull(p.loop)
 	}
 	p.fn = fn
 	s.procs++
@@ -65,36 +69,14 @@ func (s *Sim) GoAfter(d Duration, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is the pooled process goroutine: it runs one body per spawn and
-// then blocks on resume until the scheduler hands it a new body.
-func (p *Proc) loop() {
-	for {
-		<-p.resume
-		if !p.runBody() {
-			// The body (or dispatch chained from it) panicked and the
-			// panic was forwarded to the scheduler goroutine; this
-			// goroutine's state is gone, so it dies here.
-			return
-		}
-	}
-}
-
-// runBody executes one spawned body to completion, then chains through
-// the event queue (see chainNext). Model panics — a bus error, an
-// unhandled IRQ, a stale resume — must surface from Run/Step on the
-// scheduler goroutine no matter which goroutine dispatch happened to be
-// running on, so a panic here is captured, parked in sim.trap, and
-// control is handed back for the scheduler to re-throw; runBody then
-// reports false and the goroutine exits.
-func (p *Proc) runBody() (ok bool) {
+// loop is the pooled process coroutine: it runs one body per spawn, and
+// between spawns it sits suspended until the scheduler resumes it with
+// a new body. A callback drained inline may respawn this very process
+// (LIFO pool reuse) and fire its start event: then suspend returns at
+// once and the fresh body runs without a switch.
+func (p *Proc) loop(yield func(struct{}) bool) {
 	s := p.sim
-	defer func() {
-		if r := recover(); r != nil {
-			s.trap = r
-			s.stopped = true
-			s.yield <- struct{}{}
-		}
-	}()
+	p.yield = yield
 	for {
 		fn := p.fn
 		p.fn = nil
@@ -102,57 +84,39 @@ func (p *Proc) runBody() (ok bool) {
 		s.procs--
 		p.gen++
 		s.procPool = append(s.procPool, p)
-		// Snapshot the dispatch regime while control is still held:
-		// once chainNext hands control away on a channel, the scheduler
-		// may exit Run and rewrite s.chained concurrently.
-		chained := s.chained
-		if chained && p.chainNext() {
-			// The finished process chained straight into an event
-			// that resumes this same goroutine: a callback it ran
-			// inline respawned it (LIFO pool reuse) and the start
-			// event fired. Run the fresh body without a hand-off.
-			continue
-		}
-		if !chained {
-			s.yield <- struct{}{}
-		}
-		return true
+		p.suspend()
 	}
 }
 
-// chainNext continues the dispatch loop from this process's goroutine
-// after it parks or finishes. It pops and fires events until one of:
+// suspend gives up control after the process parks or finishes and
+// returns when it is resumed. Under Run/RunUntil it first drains the
+// event queue on this coroutine, firing callback events inline, until
+// one of:
 //
-//   - the next event resumes this very process (the coalesced self-wake
-//     fast path): report true, the caller keeps running with zero
-//     channel operations;
-//   - the next event resumes another process: hand control to it with a
-//     single channel send and report false;
-//   - nothing runnable remains (or Stop was called): return control to
-//     the scheduler goroutine and report false.
+//   - the next event resumes this very process (the self-wake fast
+//     path): return with no switch at all;
+//   - the next event resumes another process: store it in s.handoff for
+//     the scheduler loop to resume, and yield;
+//   - nothing runnable remains (or Stop was called): yield.
 //
-// Callback events execute inline in the loop. After the first send on
-// any channel, this goroutine touches no Sim state — every mutation is
-// ordered by the strict hand-off's happens-before edges.
-func (p *Proc) chainNext() bool {
+// Under Step it yields at once.
+func (p *Proc) suspend() {
 	s := p.sim
-	for !s.stopped {
+	for s.running && !s.stopped {
 		e := s.popLive(s.deadline)
 		if e == nil {
 			break
 		}
 		q := s.take(e)
-		if q == nil {
-			continue
-		}
 		if q == p {
-			return true
+			return
 		}
-		q.resume <- struct{}{}
-		return false
+		if q != nil {
+			s.handoff = q
+			break
+		}
 	}
-	s.yield <- struct{}{}
-	return false
+	p.yield(struct{}{})
 }
 
 // park suspends the process until some event resumes it. why should be
@@ -164,17 +128,7 @@ func (p *Proc) park(why string) {
 	p.why = why
 	p.parkIdx = len(s.parked)
 	s.parked = append(s.parked, p)
-	woke := false
-	if s.chained {
-		woke = p.chainNext()
-	} else {
-		s.yield <- struct{}{}
-	}
-	if !woke {
-		<-p.resume
-	}
-	// Swap-remove from the parked set; runs with control held either
-	// way (self-wake kept it, resume receive regained it).
+	p.suspend()
 	n := len(s.parked) - 1
 	last := s.parked[n]
 	s.parked[p.parkIdx] = last

@@ -12,22 +12,18 @@ import "container/heap"
 // A run under this tag must be byte-identical to a default-build run —
 // same traces, same samples, same metric snapshots (the replay
 // fingerprint golden in the root package asserts exactly that). It
-// exists so the calendar queue in queue.go can always be cross-checked
-// against a dead-simple total order.
+// exists so the sorted-slice queue in queue.go can always be
+// cross-checked against a dead-simple total order.
 type equeue struct{ h refHeap }
 
-func (q *equeue) init() {}
+func (q *equeue) push(e *event) { heap.Push(&q.h, e) }
 
-func (q *equeue) push(e *event, now Time) { heap.Push(&q.h, e) }
-
-func (q *equeue) pop(now, limit Time) *event {
+func (q *equeue) pop(limit Time) *event {
 	if len(q.h) == 0 || q.h[0].at > limit {
 		return nil
 	}
 	return heap.Pop(&q.h).(*event)
 }
-
-func (q *equeue) flushCurr() {}
 
 type refHeap []*event
 

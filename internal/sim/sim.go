@@ -68,7 +68,7 @@ type Tracer interface {
 // over the Sim's whole life. They are plain integers bumped on the hot
 // path (no instrument indirection); sessions publish them into the
 // telemetry registry as sim.events.* / sim.queue.* after each run.
-// All four are implementation-independent — the calendar queue and the
+// All four are implementation-independent — the sorted-slice queue and the
 // simrefqueue reference shim report identical values for the same
 // schedule, which the replay fingerprint golden relies on.
 type QueueStats struct {
@@ -79,11 +79,11 @@ type QueueStats struct {
 }
 
 // Sim is a discrete-event scheduler. It is not safe for concurrent use;
-// all model code runs under a strict control hand-off: exactly one
-// goroutine — the scheduler or a single process — is runnable at any
-// instant. Distinct Sim instances are fully independent and may run on
-// concurrent goroutines — the parallel sweep engine relies on this
-// isolation.
+// all model code runs under a strict control hand-off: the scheduler
+// and the process coroutines (see Proc) switch to one another, so
+// exactly one of them runs at any instant. Distinct Sim instances are
+// fully independent and may run on concurrent goroutines — the parallel
+// sweep engine relies on this isolation.
 type Sim struct {
 	now      Time
 	q        equeue
@@ -91,25 +91,19 @@ type Sim struct {
 	live     int64 // queued, not-cancelled events
 	stopped  bool
 	deadline Time // dispatch limit (RunUntil); maxTime under Run/Step
-	// chained enables the run-to-completion fast path: inside Run and
-	// RunUntil, a parking process drains the event queue from its own
-	// goroutine — callbacks run inline, consecutive wakes of the same
-	// process coalesce to straight-line execution, and a wake of
-	// another process is a direct goroutine-to-goroutine hand-off that
-	// skips the scheduler round trip entirely. Under Step (and before
-	// Run is entered) it is false and every event returns control to
-	// the scheduler goroutine, which is what gives Step its one-event
-	// granularity.
-	chained  bool
-	yield    chan struct{} // control returns to the scheduler goroutine
-	trap     any           // panic forwarded from a process goroutine
+	// running is set inside Run and RunUntil, where a parking or
+	// finishing process drains the event queue on its own coroutine
+	// (see Proc.suspend). Under Step it is false and every process yields
+	// straight back, which is what gives Step its one-event granularity.
+	running  bool
+	handoff  *Proc // the other process a suspend found to run next
 	tracer   Tracer
 	spans    SpanSink
 	flight   FlightSink
 	procs    int     // live (not yet finished) processes
 	parked   []*Proc // processes currently suspended (unordered)
 	free     []*event
-	procPool []*Proc // finished processes whose goroutines idle for reuse
+	procPool []*Proc // finished processes whose coroutines idle for reuse
 	stats    QueueStats
 	arena    *mem.Arena         // backs interned trace/park name strings
 	names    map[nameKey]string // (label, sub) -> interned "label+sub"
@@ -119,13 +113,10 @@ type nameKey struct{ label, sub string }
 
 // New returns an empty simulation positioned at time zero.
 func New() *Sim {
-	s := &Sim{
-		yield: make(chan struct{}),
+	return &Sim{
 		arena: mem.NewArena(0),
 		names: make(map[nameKey]string),
 	}
-	s.q.init()
-	return s
 }
 
 // Now reports the current simulation time.
@@ -183,7 +174,7 @@ func (s *Sim) enqueue(e *event) {
 	if s.live > s.stats.DepthMax {
 		s.stats.DepthMax = s.live
 	}
-	s.q.push(e, s.now)
+	s.q.push(e)
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
@@ -239,7 +230,7 @@ func (s *Sim) ResumeAfter(d Duration, label string, p *Proc) EventID {
 // runnable remains within limit.
 func (s *Sim) popLive(limit Time) *event {
 	for {
-		e := s.q.pop(s.now, limit)
+		e := s.q.pop(limit)
 		if e == nil {
 			return nil
 		}
@@ -281,8 +272,8 @@ func (s *Sim) take(e *event) *Proc {
 
 // Step executes the next pending event, advancing time to it.
 // It reports whether an event was executed. Step always returns after
-// exactly one event: the chained fast path stays off, so a resumed
-// process yields control back to the scheduler as soon as it parks.
+// exactly one event: outside Run a resumed process does not drain the
+// queue, it yields back as soon as it parks.
 func (s *Sim) Step() bool {
 	s.deadline = maxTime
 	e := s.popLive(maxTime)
@@ -290,41 +281,28 @@ func (s *Sim) Step() bool {
 		return false
 	}
 	if p := s.take(e); p != nil {
-		p.resume <- struct{}{}
-		<-s.yield
-		s.repanic()
+		p.next()
 	}
 	return true
 }
 
-// repanic re-throws a panic forwarded from a process goroutine (see
-// Proc.runBody) so that model panics always surface to the caller of
-// Run/RunUntil/Step regardless of which goroutine was dispatching when
-// they fired. The simulation is unusable afterwards.
-func (s *Sim) repanic() {
-	if r := s.trap; r != nil {
-		s.trap = nil
-		panic(r)
-	}
-}
-
-// runLoop is the scheduler side of the chained dispatch regime: it
-// pops and fires events until the queue drains (within deadline) or
-// Stop is called. Firing a process event hands control to that
-// process's goroutine; from there processes chain through the queue
-// themselves (see Proc.chainNext) and control only returns here — one
-// receive on s.yield — when nothing more is runnable from a process
-// context. Callback-only stretches run inline in this loop with no
-// hand-offs at all.
+// runLoop pops and fires events until the queue drains (within
+// deadline) or Stop is called. Callback-only stretches run inline here;
+// a process event switches to that process, which drains the queue
+// itself (see Proc.suspend) and comes back only when it has to hand
+// control to another process — the loop then resumes that one — or
+// when nothing more is runnable. running is cleared on the way out
+// even when a model panic unwinds through here.
 func (s *Sim) runLoop() {
+	s.running = true
+	defer func() { s.running = false }()
 	for !s.stopped {
 		e := s.popLive(s.deadline)
 		if e == nil {
 			return
 		}
-		if p := s.take(e); p != nil {
-			p.resume <- struct{}{}
-			<-s.yield
+		for p := s.take(e); p != nil; p, s.handoff = s.handoff, nil {
+			p.next()
 		}
 	}
 }
@@ -335,10 +313,7 @@ func (s *Sim) runLoop() {
 func (s *Sim) Run() error {
 	s.stopped = false
 	s.deadline = maxTime
-	s.chained = true
 	s.runLoop()
-	s.chained = false
-	s.repanic()
 	if !s.stopped && len(s.parked) > 0 {
 		return fmt.Errorf("sim: deadlock at %v: %d process(es) parked: %v", s.now, len(s.parked), s.parkedNames())
 	}
@@ -351,14 +326,8 @@ func (s *Sim) Run() error {
 func (s *Sim) RunUntil(deadline Time) {
 	s.stopped = false
 	s.deadline = deadline
-	s.chained = true
 	s.runLoop()
-	s.chained = false
-	s.repanic()
 	if s.now < deadline {
-		// A Stop may have left same-timestamp events in the fast lane;
-		// migrate them before the clock jumps so queue invariants hold.
-		s.q.flushCurr()
 		s.now = deadline
 	}
 }
