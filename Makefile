@@ -62,13 +62,17 @@ flake:
 # bench runs the sim dispatch micro-benchmarks (self-wake, ping-pong and
 # callback chain: the kernel alone, one event per op) and the sweep and
 # series benchmarks with allocation accounting (allocs/op on the
-# dispatch and steady-state series benchmarks must read 0), then times
+# dispatch and steady-state series benchmarks must read 0), then the
+# session boot benchmarks (OpenNet, OpenXDMA: the bring-up every sweep
+# cell pays) at a fixed 200 boots, since sessions have no Close and each
+# boot keeps its memory until the process exits. Last it times
 # the paper's full 50k-packet Fig-3 matrix serially and through the
 # parallel engine. The committed baseline is NOT rewritten here —
 # use benchbase for that — so a routine bench run cannot silently move
 # the gate.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSim|SweepGrid|SeriesSteadyState' -benchmem ./internal/sim ./internal/experiments .
+	$(GO) test -run '^$$' -bench 'BenchmarkOpen' -benchtime 200x -benchmem .
 	$(GO) run ./cmd/fvsweepbench -n 50000 -json $${TMPDIR:-/tmp}/fvsweepbench-full.json
 
 # benchbase deliberately re-records BENCH_sweep.json at the full grid.

@@ -17,6 +17,10 @@ import (
 //
 //	go test -bench=. -benchmem
 //
+// The exceptions are the boot benchmarks (BenchmarkOpenNet,
+// BenchmarkOpenXDMA), one session boot per iteration, which want a
+// fixed -benchtime.
+//
 // For the paper's full 50,000-packet statistics use cmd/fvbench.
 
 var paperPayloads = []int{64, 128, 256, 512, 1024}
@@ -82,6 +86,30 @@ func BenchmarkFig3RoundTrip(b *testing.B) {
 			}
 			reportSim(b, samples)
 		})
+	}
+}
+
+// BenchmarkOpenNet and BenchmarkOpenXDMA time one session boot per
+// iteration: the host cost every sweep cell, stream arm and poll cell
+// pays before its first packet. B/op includes the 64 MiB host memory,
+// nearly all of it never touched. Sessions have no Close, so every boot
+// keeps its goroutines and memory until the process exits: run these
+// at a fixed count, as make bench does:
+//
+//	go test -run '^$' -bench BenchmarkOpen -benchtime 200x -benchmem .
+func BenchmarkOpenNet(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := fpgavirtio.OpenNet(fpgavirtio.NetConfig{Config: fpgavirtio.Config{Seed: 1}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOpenXDMA(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := fpgavirtio.OpenXDMA(fpgavirtio.XDMAConfig{Config: fpgavirtio.Config{Seed: 1}}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -15,6 +15,10 @@ type Addr uint64
 // error would do to the experiment.
 type Memory struct {
 	data []byte
+	// hi is the high-water mark of bytes ever written: every byte at or
+	// above it is still zero from make. Allocator.Alloc clears only the
+	// part of a region below it.
+	hi Addr
 }
 
 // New returns a memory of the given size in bytes.
@@ -34,6 +38,15 @@ func (m *Memory) check(a Addr, n int) {
 	}
 }
 
+// wrote checks [a, a+n) and raises the written high-water mark to its
+// end.
+func (m *Memory) wrote(a Addr, n int) {
+	m.check(a, n)
+	if end := a + Addr(n); end > m.hi {
+		m.hi = end
+	}
+}
+
 // Read copies n bytes starting at a into a fresh slice.
 func (m *Memory) Read(a Addr, n int) []byte {
 	m.check(a, n)
@@ -50,13 +63,18 @@ func (m *Memory) ReadInto(a Addr, dst []byte) {
 
 // Write copies src into memory at a.
 func (m *Memory) Write(a Addr, src []byte) {
-	m.check(a, len(src))
+	m.wrote(a, len(src))
 	copy(m.data[a:], src)
 }
 
-// Fill sets n bytes at a to v.
+// Fill sets n bytes at a to v. Filling with zero leaves the written
+// high-water mark where it is: zero bytes are what lies above it.
 func (m *Memory) Fill(a Addr, n int, v byte) {
-	m.check(a, n)
+	if v == 0 {
+		m.check(a, n)
+	} else {
+		m.wrote(a, n)
+	}
 	for i := 0; i < n; i++ {
 		m.data[int(a)+i] = v
 	}
@@ -70,7 +88,7 @@ func (m *Memory) U8(a Addr) byte {
 
 // PutU8 writes one byte.
 func (m *Memory) PutU8(a Addr, v byte) {
-	m.check(a, 1)
+	m.wrote(a, 1)
 	m.data[a] = v
 }
 
@@ -82,7 +100,7 @@ func (m *Memory) U16(a Addr) uint16 {
 
 // PutU16 writes a little-endian 16-bit value.
 func (m *Memory) PutU16(a Addr, v uint16) {
-	m.check(a, 2)
+	m.wrote(a, 2)
 	m.data[a] = byte(v)
 	m.data[a+1] = byte(v >> 8)
 }
@@ -95,7 +113,7 @@ func (m *Memory) U32(a Addr) uint32 {
 
 // PutU32 writes a little-endian 32-bit value.
 func (m *Memory) PutU32(a Addr, v uint32) {
-	m.check(a, 4)
+	m.wrote(a, 4)
 	m.data[a] = byte(v)
 	m.data[a+1] = byte(v >> 8)
 	m.data[a+2] = byte(v >> 16)
@@ -133,7 +151,12 @@ func NewAllocator(m *Memory, start Addr, size int) *Allocator {
 }
 
 // Alloc returns the address of a zeroed region of n bytes aligned to
-// align (which must be a power of two; 0 or 1 means unaligned).
+// align (which must be a power of two; 0 or 1 means unaligned). Only
+// the part of the region below the memory's written high-water mark is
+// cleared; the rest has never been written and is still zero from New,
+// so a large fresh region is neither looped over nor faulted in. The
+// mark covers every write, so a stray DMA write past the bump pointer
+// (say, through a corrupted descriptor) is below it and still cleared.
 func (al *Allocator) Alloc(n int, align int) Addr {
 	if n < 0 {
 		panic("mem: negative alloc")
@@ -149,7 +172,9 @@ func (al *Allocator) Alloc(n int, align int) Addr {
 		panic(fmt.Sprintf("mem: allocator exhausted (want %d bytes at %#x, end %#x)", n, uint64(a), uint64(al.end)))
 	}
 	al.next = a + Addr(n)
-	al.mem.Fill(a, n, 0)
+	if hi := al.mem.hi; a < hi {
+		clear(al.mem.data[a:min(hi, al.next)])
+	}
 	return a
 }
 

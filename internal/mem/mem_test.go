@@ -198,3 +198,66 @@ func TestAllocatorRemaining(t *testing.T) {
 		t.Fatalf("remaining = %d, want 100", al.Remaining())
 	}
 }
+
+// TestAllocatorLeavesMarkUntouched: allocating never counts as a write,
+// so the regions of a fresh memory stay above the mark and are not
+// cleared.
+func TestAllocatorLeavesMarkUntouched(t *testing.T) {
+	m := New(1 << 16)
+	al := NewAllocator(m, 0x100, 1<<15)
+	al.Alloc(4096, 64)
+	al.Alloc(100, 1)
+	if m.hi != 0 {
+		t.Fatalf("mark = %#x after Allocs on fresh memory, want 0", uint64(m.hi))
+	}
+	a := al.Alloc(64, 64)
+	m.PutU32(a, 1)
+	if want := a + 4; m.hi != want {
+		t.Fatalf("mark = %#x after PutU32, want %#x", uint64(m.hi), uint64(want))
+	}
+	al.Alloc(64, 64)
+	if want := a + 4; m.hi != want {
+		t.Fatalf("mark = %#x after a later Alloc, want %#x", uint64(m.hi), uint64(want))
+	}
+}
+
+// TestAllocatorClearsStrayWrites: a DMA write past the bump pointer
+// (as through a corrupted descriptor) lies below the mark, so the Alloc
+// that later hands out those bytes still returns them zeroed.
+func TestAllocatorClearsStrayWrites(t *testing.T) {
+	m := New(1 << 16)
+	al := NewAllocator(m, 0x1000, 1<<14)
+	first := al.Alloc(256, 64)
+	m.Write(first, bytes.Repeat([]byte{0xee}, 256))
+	m.Write(0x2000, []byte{1, 2, 3, 4, 5})
+	m.PutU32(0x3000, 0xdeadbeef)
+	m.PutU16(0x3100, 0xbeef)
+	m.PutU8(0x3200, 0x7f)
+	r := al.Alloc(0x3000, 1) // spans every stray write
+	for i := 0; i < 0x3000; i++ {
+		if b := m.U8(r + Addr(i)); b != 0 {
+			t.Fatalf("byte %#x of the new region = %#x, want 0", uint64(r)+uint64(i), b)
+		}
+	}
+	if m.U8(first) != 0xee {
+		t.Fatal("Alloc cleared bytes of an earlier region")
+	}
+}
+
+// TestFillMark: a non-zero Fill raises the mark; a zero Fill does not,
+// since the bytes above the mark are zero already.
+func TestFillMark(t *testing.T) {
+	m := New(256)
+	m.Fill(0, 200, 0)
+	if m.hi != 0 {
+		t.Fatalf("mark = %d after a zero Fill, want 0", m.hi)
+	}
+	m.Fill(10, 20, 0xaa)
+	if m.hi != 30 {
+		t.Fatalf("mark = %d after Fill(10, 20, 0xaa), want 30", m.hi)
+	}
+	m.Fill(0, 100, 0)
+	if m.hi != 30 {
+		t.Fatalf("mark = %d after a zero Fill below it, want 30", m.hi)
+	}
+}

@@ -111,12 +111,23 @@ func TestStepFiresOneEventOnSelfWake(t *testing.T) {
 }
 
 // Events a Stop leaves behind in RunUntil, including ones at the
-// current time, still fire in (at, seq) order once the run resumes.
+// current time, still fire in (at, seq) order once the run resumes, and
+// the clock never runs backwards: a stopped RunUntil leaves it at the
+// stopping event while events due by the deadline are still queued.
 func TestRunUntilStopKeepsOrder(t *testing.T) {
 	s := New()
 	var order []string
-	note := func(name string) func() { return func() { order = append(order, name) } }
-	s.At(0, "a", func() { order = append(order, "a"); s.Stop() })
+	last := Time(0)
+	note := func(name string) func() {
+		return func() {
+			if s.Now() < last {
+				t.Errorf("%s fired at %v, after the clock read %v", name, s.Now(), last)
+			}
+			last = s.Now()
+			order = append(order, name)
+		}
+	}
+	s.At(0, "a", func() { note("a")(); s.Stop() })
 	s.At(Time(Ns(10)), "d", note("d"))
 	s.At(0, "b", note("b"))
 	s.At(0, "c", note("c"))
@@ -124,10 +135,34 @@ func TestRunUntilStopKeepsOrder(t *testing.T) {
 	if len(order) != 1 {
 		t.Fatalf("RunUntil ran %v past the Stop", order)
 	}
+	if s.Now() != 0 {
+		t.Fatalf("now %v after the stopped RunUntil, want 0 (b and c are still due)", s.Now())
+	}
+	last = s.Now()
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(order, ""); got != "abcd" {
 		t.Fatalf("order %q, want abcd", got)
+	}
+	if want := Time(Ns(10)); s.Now() != want {
+		t.Fatalf("now %v after Run, want %v", s.Now(), want)
+	}
+}
+
+// A stopped RunUntil still advances to the deadline when nothing at or
+// before it is left: cancelled events and events past the deadline do
+// not hold the clock back.
+func TestRunUntilStopAdvancesWhenNothingDue(t *testing.T) {
+	s := New()
+	s.At(Time(Ns(1)), "stop", s.Stop)
+	s.At(Time(Ns(2)), "cancelled", func() { t.Error("cancelled event fired") }).Cancel()
+	s.At(Time(Ns(10)), "later", func() {})
+	s.RunUntil(Time(Ns(5)))
+	if want := Time(Ns(5)); s.Now() != want {
+		t.Fatalf("now %v, want %v", s.Now(), want)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("pending %d, want 1", s.Pending())
 	}
 }

@@ -25,6 +25,14 @@ func (q *equeue) push(e *event) {
 	q.evs[i] = e
 }
 
+// peek returns the (at, seq)-minimal event without removing it, or nil.
+func (q *equeue) peek() *event {
+	if n := len(q.evs); n > 0 {
+		return q.evs[n-1]
+	}
+	return nil
+}
+
 // pop removes and returns the (at, seq)-minimal event if its timestamp
 // is <= limit, or nil.
 func (q *equeue) pop(limit Time) *event {

@@ -18,6 +18,13 @@ type equeue struct{ h refHeap }
 
 func (q *equeue) push(e *event) { heap.Push(&q.h, e) }
 
+func (q *equeue) peek() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+
 func (q *equeue) pop(limit Time) *event {
 	if len(q.h) == 0 || q.h[0].at > limit {
 		return nil

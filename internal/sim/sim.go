@@ -321,15 +321,30 @@ func (s *Sim) Run() error {
 }
 
 // RunUntil executes events with timestamps <= deadline. Events beyond
-// the deadline remain queued; time is advanced to deadline if nothing
-// ran at it.
+// the deadline remain queued; time is advanced to deadline once nothing
+// at or before it is left. After a Stop, events due by the deadline stay
+// queued and the clock stays at the stopping event, so they cannot later
+// move it backwards.
 func (s *Sim) RunUntil(deadline Time) {
 	s.stopped = false
 	s.deadline = deadline
 	s.runLoop()
-	if s.now < deadline {
+	if s.now < deadline && !s.dueBy(deadline) {
 		s.now = deadline
 	}
+}
+
+// dueBy reports whether a live event at or before t is queued,
+// releasing cancelled events it finds at the head on the way.
+func (s *Sim) dueBy(t Time) bool {
+	for e := s.q.peek(); e != nil && e.at <= t; e = s.q.peek() {
+		if !e.dead {
+			return true
+		}
+		s.q.pop(t)
+		s.release(e)
+	}
+	return false
 }
 
 // Stop halts Run after the current event completes.

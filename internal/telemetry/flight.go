@@ -14,9 +14,9 @@ import (
 // the separate sim.FlightSink channel so it can stay enabled for the
 // entire run without perturbing the 0-alloc hot path. When something
 // noteworthy happens — a fault-recovery fires, a new worst-case RTT
-// lands — Snapshot freezes the ring into a preallocated dump slot,
-// giving a post-mortem trace of the packets leading up to the event
-// without anyone having asked for tracing in advance. Mark and
+// lands — Snapshot freezes the ring into a dump slot, giving a
+// post-mortem trace of the packets leading up to the event without
+// anyone having asked for tracing in advance. Mark and
 // AppendWindow read one round trip's spans back out of the ring while
 // they are still resident, which is how sweeps attribute their tail
 // samples without a second pass.
@@ -79,13 +79,16 @@ type flightSlot struct {
 	reason string
 	at     sim.Time
 	seq    int64
-	spans  []FlightSpan // preallocated to ring+open capacity
+	spans  []FlightSpan // ring+open capacity, allocated on the slot's first use
 }
 
 // FlightRecorder implements sim.FlightSink with a fixed-size span
-// ring, a fixed open-span side table, and preallocated dump slots.
-// After construction no method allocates, so a session can leave it
-// installed for a 50k-packet sweep without moving the alloc budget.
+// ring, a fixed open-span side table, and dump slots whose span buffers
+// are allocated by the first Snapshot into each slot (a session run
+// without faults fills only its worst-RTT slot). Apart from that one
+// allocation per slot no method on the packet path allocates, so a
+// session can leave it installed for a 50k-packet sweep without moving
+// the alloc budget.
 //
 // Dump slots are keyed by reason: a second snapshot with the same
 // reason overwrites the earlier one (keeping the freshest context for
@@ -129,9 +132,6 @@ func NewFlightRecorder(spanCap, dumpSlots int, reg *Registry) *FlightRecorder {
 		dropped:      reg.Counter(MetricRecorderSpansDropped),
 		dumps:        reg.Counter(MetricRecorderDumps),
 		dumpsDropped: reg.Counter(MetricRecorderDumpsDropped),
-	}
-	for i := range fr.slots {
-		fr.slots[i].spans = make([]FlightSpan, 0, spanCap+flightOpenSlots)
 	}
 	return fr
 }
@@ -243,7 +243,8 @@ func (fr *FlightRecorder) AppendWindow(dst []FlightSpan, mark FlightMark, now si
 // Snapshot freezes the current ring (plus still-open spans, marked
 // Open with End=at) into a dump slot and reports whether a slot was
 // available. A reason seen before reuses its slot — the dump always
-// reflects the latest occurrence. Allocation-free.
+// reflects the latest occurrence. Allocation-free after its slot's
+// first use.
 func (fr *FlightRecorder) Snapshot(reason string, at sim.Time) bool {
 	slot := -1
 	for i := range fr.slots {
@@ -265,6 +266,9 @@ func (fr *FlightRecorder) Snapshot(reason string, at sim.Time) bool {
 		return false
 	}
 	s := &fr.slots[slot]
+	if s.spans == nil {
+		s.spans = make([]FlightSpan, 0, len(fr.ring)+flightOpenSlots)
+	}
 	s.used = true
 	s.reason = reason
 	s.at = at

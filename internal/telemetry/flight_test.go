@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"fpgavirtio/internal/sim"
@@ -336,5 +337,69 @@ func TestFlightWindowZeroAlloc(t *testing.T) {
 	buf := make([]FlightSpan, 0, 16)
 	if n := testing.AllocsPerRun(10, func() { buf, _ = fr.AppendWindow(buf[:0], mark, ps(20)) }); n != 0 {
 		t.Fatalf("AppendWindow allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestFlightSlotAllocatedOnFirstUse: a dump slot's span buffer is made
+// by the first Snapshot into it (one allocation), a repeat Snapshot
+// with the same reason reuses it allocation-free, and a recorder that
+// sees one reason holds one buffer however many slots it has.
+func TestFlightSlotAllocatedOnFirstUse(t *testing.T) {
+	const runs = 20
+	recs := make([]*FlightRecorder, runs+1) // AllocsPerRun warms up once
+	for i := range recs {
+		recs[i] = NewFlightRecorder(16, 11, nil)
+		recs[i].FlightClosed(ps(1), LayerWire, "down", "MWr", ps(1), ps(2))
+	}
+	next := 0
+	first := testing.AllocsPerRun(runs, func() {
+		recs[next].Snapshot("worst-rtt", ps(3))
+		next++
+	})
+	if first != 1 {
+		t.Fatalf("first Snapshot into a slot allocates %v times, want 1", first)
+	}
+
+	fr := recs[0]
+	if n := testing.AllocsPerRun(runs, func() { fr.Snapshot("worst-rtt", ps(4)) }); n != 0 {
+		t.Fatalf("repeat Snapshot allocates %v times, want 0", n)
+	}
+	held := 0
+	for i := range fr.slots {
+		if fr.slots[i].spans != nil {
+			held++
+		}
+	}
+	if held != 1 {
+		t.Fatalf("11-slot recorder that saw one reason holds %d span buffers, want 1", held)
+	}
+}
+
+// TestFlightDumpsUnchangedByLazySlots: what Dumps returns is the same
+// whichever slots were allocated: only used slots appear, in Seq order,
+// each with the ring plus open spans at its latest snapshot.
+func TestFlightDumpsUnchangedByLazySlots(t *testing.T) {
+	fr := NewFlightRecorder(4, 11, nil)
+	if got := fr.Dumps(); got != nil {
+		t.Fatalf("Dumps before any snapshot = %+v, want nil", got)
+	}
+	fr.Snapshot("empty", ps(1))
+	fr.FlightClosed(ps(2), LayerWire, "down", "MWr", ps(2), ps(3))
+	open := fr.FlightBegin(ps(4), LayerDriver, "xmit")
+	fr.Snapshot("fault:irqdrop", ps(5))
+	fr.FlightEnd(ps(6), open)
+	fr.Snapshot("empty", ps(7))
+
+	mwr := FlightSpan{Layer: LayerWire, Dir: "down", Name: "MWr", Start: ps(2), End: ps(3), Seq: 1}
+	xmit := FlightSpan{Layer: LayerDriver, Name: "xmit", Start: ps(4), End: ps(6), Seq: 2}
+	want := []FlightDump{
+		{Reason: "fault:irqdrop", At: ps(5), Seq: 2, Spans: []FlightSpan{
+			mwr,
+			{Layer: LayerDriver, Name: "xmit", Start: ps(4), End: ps(5), Open: true},
+		}},
+		{Reason: "empty", At: ps(7), Seq: 3, Spans: []FlightSpan{mwr, xmit}},
+	}
+	if got := fr.Dumps(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Dumps =\n%+v\nwant\n%+v", got, want)
 	}
 }
